@@ -37,12 +37,13 @@ METHOD_CHOICES = ("wann", "uniform", "target-only", "kmm", "kliep",
                   "tradaboost")
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("WANN_SEED", "0")
+def _seed(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer (from --seed or WANN_SEED), "
+            f"got {raw!r}") from None
 
 
 def _int_list(raw: str) -> list[int]:
@@ -58,7 +59,10 @@ def _int_list(raw: str) -> list[int]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value file of flag defaults")
-    parser.add_argument("--seed", type=int, default=_default_seed(),
+    # argparse converts a string default with ``type`` only when the flag
+    # is absent, so a bad WANN_SEED is a usage error unless --seed is given
+    parser.add_argument("--seed", type=_seed,
+                        default=os.environ.get("WANN_SEED", "0"),
                         help="master seed (default: WANN_SEED or 0)")
 
 
@@ -135,13 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _expand_config(argv: list[str], parser: argparse.ArgumentParser
                    ) -> list[str]:
-    """Splice --config file entries in as flags before the user's flags."""
-    if "--config" not in argv:
+    """Splice --config file entries in as flags before the user's flags.
+
+    Both ``--config FILE`` and ``--config=FILE`` name the file.
+    """
+    for at, arg in enumerate(argv):
+        if arg == "--config":
+            if at + 1 >= len(argv):
+                parser.error("--config needs a file path")
+            path = Path(argv[at + 1])
+            break
+        if arg.startswith("--config="):
+            path = Path(arg.partition("=")[2])
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        parser.error("--config needs a file path")
-    path = Path(argv[at + 1])
     if not path.exists():
         parser.error(f"config file not found: {path}")
     try:

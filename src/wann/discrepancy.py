@@ -57,8 +57,9 @@ def _ascend(net: Mlp, sign: float, src_x, src_y, src_w, tgt_x, tgt_y,
             u = -w_full[idx]
             if n_b:
                 u = u + flags[idx] / n_b
-            _, grads = weighted_mse_grad(net, X[idx], y[idx], sign * u)
-            adam_step(net, grads.scaled(-1.0), state)
+            # ascend sign * d: descend on the loss with weights -sign * u
+            _, grads = weighted_mse_grad(net, X[idx], y[idx], -sign * u)
+            adam_step(net, grads, state)
         d = _signed_gap(net, src_x, src_y, src_w, tgt_x, tgt_y)
         if not math.isfinite(d):
             raise TrainingDivergedError(epoch)

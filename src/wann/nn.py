@@ -3,6 +3,15 @@
 Forward passes, exact reverse-mode gradients of per-example-weighted
 losses, Adam updates and coordinate-wise weight clipping. Everything is
 float64 and deterministic given a seed; no autodiff framework involved.
+
+Memory layout: an ``Mlp`` keeps every parameter in one contiguous
+vector, ``Mlp.params``, and each layer's ``weights`` and ``biases`` are
+views into it. The working memory of training belongs to the network
+(activation buffers that grow to the largest row count seen, and one
+flat gradient bundle) or to its ``AdamState`` (flat moments and two
+scratch vectors). Once the buffers have grown, a training step
+allocates only a few per-row vectors, so the allocator does not hand
+large blocks back and forth with the operating system on every batch.
 """
 
 from __future__ import annotations
@@ -14,16 +23,22 @@ import numpy as np
 _ACTIVATIONS = ("relu", "identity")
 
 
-def _act(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
+def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
+    """Copy per-layer arrays into one flat vector, returning it and views.
 
-
-def _act_grad(z: np.ndarray, name: str) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    return np.ones_like(z)
+    Layer k's weights (row-major) come first, then its biases, then
+    layer k+1. Returns (flat, weight views, bias views).
+    """
+    flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases)
+                           for a in pair], dtype=np.float64)
+    weight_views, bias_views = [], []
+    at = 0
+    for w, b in zip(weights, biases):
+        weight_views.append(flat[at:at + w.size].reshape(w.shape))
+        at += w.size
+        bias_views.append(flat[at:at + b.size].reshape(b.shape))
+        at += b.size
+    return flat, weight_views, bias_views
 
 
 @dataclass
@@ -32,6 +47,8 @@ class DenseLayer:
 
     Dropout, when configured, is inverted dropout applied to the layer
     output in training mode only; evaluation mode is deterministic.
+    Inside an ``Mlp`` the arrays are views into the network's flat
+    parameter vector: update them in place, never rebind them.
     """
 
     weights: np.ndarray
@@ -76,11 +93,22 @@ class Mlp:
     all weights and biases are projected onto [-clip, clip]. The
     optional relu ``output_activation`` clamps outputs to be
     nonnegative (used by weighting networks).
+
+    The network takes over its layers' storage: ``params`` holds every
+    parameter, layer by layer, and the layers' arrays become views
+    into it. ``grads`` is the network's own gradient bundle, which
+    every gradient computation on the network overwrites.
     """
 
     layers: list[DenseLayer]
     clip: float | None = None
     output_activation: str = "identity"
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    grads: GradBundle = field(init=False, repr=False, compare=False)
+    # grow-only per-layer output buffers; a pass on b rows uses the
+    # leading b rows of each
+    _activations: list[np.ndarray] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -96,12 +124,21 @@ class Mlp:
             raise ValueError(f"unknown activation {self.output_activation!r}")
         if self.clip is not None and self.clip <= 0:
             raise ValueError("clip constant must be positive")
+        self.params, weights, biases = _pack(
+            [layer.weights for layer in self.layers],
+            [layer.biases for layer in self.layers])
+        for layer, w, b in zip(self.layers, weights, biases):
+            layer.weights, layer.biases = w, b
+        self.grads = GradBundle.zeros_like(self)
+        self._activations = [np.empty((0, layer.n_outputs))
+                             for layer in self.layers]
 
     @property
     def n_inputs(self) -> int:
         return self.layers[0].n_inputs
 
     def copy(self) -> "Mlp":
+        """Independent network with equal parameters and fresh buffers."""
         return Mlp([layer.copy() for layer in self.layers],
                    self.clip, self.output_activation)
 
@@ -156,7 +193,9 @@ def _forward_cache(net: Mlp, X: np.ndarray, train: bool,
     """Forward pass keeping per-layer caches for the backward pass.
 
     Returns (outputs [b], caches). Each cache holds the layer input,
-    pre-activation and dropout scale mask (or None).
+    the layer output and the dropout scale mask (or None). Outputs and
+    caches are views into the net's activation buffers: they stay
+    valid until the next forward or backward pass on the same net.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -165,55 +204,81 @@ def _forward_cache(net: Mlp, X: np.ndarray, train: bool,
         raise ValueError(
             f"X has {X.shape[1]} columns, network expects {net.n_inputs}"
         )
+    rows = len(X)
     caches = []
     a = X
-    for layer in net.layers:
-        z = a @ layer.weights + layer.biases
-        out = _act(z, layer.activation)
+    for k, layer in enumerate(net.layers):
+        buf = net._activations[k]
+        if len(buf) < rows:
+            buf = net._activations[k] = np.empty((rows, layer.n_outputs))
+        out = buf[:rows]
+        np.matmul(a, layer.weights, out=out)
+        out += layer.biases
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
         mask = None
         if train and layer.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("training-mode dropout needs an rng")
             keep = 1.0 - layer.dropout_rate
             mask = (rng.random(out.shape) < keep) / keep
-            out = out * mask
-        caches.append((a, z, mask))
+            out *= mask
+        caches.append((a, out, mask))
         a = out
-    z_out = a[:, 0]
-    y = _act(z_out, net.output_activation)
-    caches.append(z_out)
+    y = a[:, 0]
+    if net.output_activation == "relu":
+        np.maximum(y, 0.0, out=y)
     return y, caches
 
 
 def _backward(net: Mlp, caches, d_out: np.ndarray) -> "GradBundle":
-    """Reverse-mode parameter gradients from d(loss)/d(outputs)."""
-    z_out = caches[-1]
-    delta = (d_out * _act_grad(z_out, net.output_activation))[:, None]
-    d_weights: list[np.ndarray] = [None] * len(net.layers)
-    d_biases: list[np.ndarray] = [None] * len(net.layers)
+    """Reverse-mode parameter gradients from d(loss)/d(outputs).
+
+    Consumes the forward caches: each layer's input gradient is written
+    over that layer's input buffer, and a relu's derivative is read
+    from its output (positive exactly where the pre-activation is).
+    Returns ``net.grads``, which stays valid until the next gradient
+    computation on the same net.
+    """
+    grads = net.grads
+    top = caches[-1][1]
+    pos = top > 0.0 if net.layers[-1].activation == "relu" else None
+    y = top[:, 0]
+    if net.output_activation == "relu":
+        np.multiply(d_out, y > 0.0, out=y)
+    else:
+        y[...] = d_out
+    delta = top
     for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
-        a_in, z, mask = caches[k]
+        a_in, _, mask = caches[k]
         if mask is not None:
-            delta = delta * mask
-        delta = delta * _act_grad(z, layer.activation)
-        d_weights[k] = a_in.T @ delta
-        d_biases[k] = delta.sum(axis=0)
+            delta *= mask
+        if pos is not None:
+            delta *= pos
+        np.matmul(a_in.T, delta, out=grads.d_weights[k])
+        np.sum(delta, axis=0, out=grads.d_biases[k])
         if k > 0:
-            delta = delta @ layer.weights.T
-    return GradBundle(d_weights, d_biases)
+            pos = a_in > 0.0 if net.layers[k - 1].activation == "relu" else None
+            np.matmul(delta, net.layers[k].weights.T, out=a_in)
+            delta = a_in
+    return grads
 
 
 @dataclass
 class GradBundle:
-    """Per-parameter gradients, shape-congruent with an Mlp."""
+    """Per-parameter gradients, shape-congruent with an Mlp.
+
+    The arrays are copied into one flat vector, ``flat``, laid out like
+    ``Mlp.params``; ``d_weights`` and ``d_biases`` are views into it.
+    """
 
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def scaled(self, factor: float) -> "GradBundle":
-        return GradBundle([factor * g for g in self.d_weights],
-                          [factor * g for g in self.d_biases])
+    def __post_init__(self):
+        self.flat, self.d_weights, self.d_biases = _pack(self.d_weights,
+                                                         self.d_biases)
 
     @classmethod
     def zeros_like(cls, net: Mlp) -> "GradBundle":
@@ -226,10 +291,11 @@ def forward(net: Mlp, X: np.ndarray, train: bool = False,
     """Evaluate the network on a batch, returning one output per row.
 
     Evaluation mode (the default) is a deterministic function of
-    (net, X); training mode draws dropout masks from ``rng``.
+    (net, X); training mode draws dropout masks from ``rng``. The
+    result is a new array owned by the caller.
     """
     y, _ = _forward_cache(net, X, train, rng)
-    return y
+    return y.copy()
 
 
 def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -241,7 +307,9 @@ def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     loss = sum_i w_i * (net(x_i) - y_i)^2. Weights may be negative
     (signed per-example factors appear in adversarial updates). The
     loss and gradient share one forward pass, so training-mode dropout
-    masks are common to both.
+    masks are common to both. The gradient is the net's own bundle
+    (``net.grads``): it stays valid until the next gradient
+    computation on the same net.
     """
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -264,7 +332,9 @@ def weighted_output_grad(net: Mlp, X: np.ndarray, v: np.ndarray,
     """Weighted sum of raw outputs, sum_i v_i * net(x_i), and its gradient.
 
     Used for weighting-network updates where the per-example factors
-    v_i are signed loss differences.
+    v_i are signed loss differences. As with ``weighted_mse_grad``, the
+    gradient is ``net.grads`` and lasts until the next gradient
+    computation on the same net.
     """
     v = np.asarray(v, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -272,61 +342,74 @@ def weighted_output_grad(net: Mlp, X: np.ndarray, v: np.ndarray,
         raise ValueError("X and v must have the same number of rows")
     out, caches = _forward_cache(net, X, train, rng)
     value = float(np.dot(v, out))
-    grads = _backward(net, caches, v.copy())
+    grads = _backward(net, caches, v)
     return value, grads
 
 
 @dataclass
 class AdamState:
-    """Adam accumulators for one Mlp (first/second moments per parameter)."""
+    """Adam accumulators for one Mlp.
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    ``m`` and ``v`` are the first and second moments, flat and laid out
+    like ``Mlp.params``; ``scratch`` holds two vectors of the same size
+    that each update works in.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                   compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_net(cls, net: Mlp, lr: float = 0.001, beta1: float = 0.9,
                 beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            m_weights=[np.zeros_like(layer.weights) for layer in net.layers],
-            v_weights=[np.zeros_like(layer.weights) for layer in net.layers],
-            m_biases=[np.zeros_like(layer.biases) for layer in net.layers],
-            v_biases=[np.zeros_like(layer.biases) for layer in net.layers],
-            lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
-        )
-
-
-def _adam_update(param, grad, m, v, state: AdamState, corr1, corr2):
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    m_hat = m / corr1
-    v_hat = v / corr2
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        return cls(np.zeros_like(net.params), np.zeros_like(net.params),
+                   lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
 def adam_step(net: Mlp, grads: GradBundle, state: AdamState) -> None:
-    """One in-place Adam update with bias correction, then clipping."""
+    """One in-place Adam update with bias correction, then clipping.
+
+    The update runs once over the flat vectors, in the state's scratch
+    space, with the per-element arithmetic of the textbook form:
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g, and
+    params -= lr (m / c1) / (sqrt(v / c2) + eps).
+    """
     if len(grads.d_weights) != len(net.layers):
         raise ValueError("gradient bundle does not match network depth")
     for layer, dw, db in zip(net.layers, grads.d_weights, grads.d_biases):
         if dw.shape != layer.weights.shape or db.shape != layer.biases.shape:
             raise ValueError("gradient shapes do not match network parameters")
+        if dw.base is not grads.flat or db.base is not grads.flat:
+            raise ValueError("gradient arrays must be views into the "
+                             "bundle's flat vector; update them in place")
     state.step_count += 1
     corr1 = 1.0 - state.beta1 ** state.step_count
     corr2 = 1.0 - state.beta2 ** state.step_count
-    for k, layer in enumerate(net.layers):
-        _adam_update(layer.weights, grads.d_weights[k],
-                     state.m_weights[k], state.v_weights[k], state, corr1, corr2)
-        _adam_update(layer.biases, grads.d_biases[k],
-                     state.m_biases[k], state.v_biases[k], state, corr1, corr2)
+    g, m, v = grads.flat, state.m, state.v
+    s, t = state.scratch
+    np.multiply(g, 1.0 - state.beta1, out=s)
+    m *= state.beta1
+    m += s
+    np.multiply(g, 1.0 - state.beta2, out=s)
+    s *= g
+    v *= state.beta2
+    v += s
+    np.divide(v, corr2, out=s)
+    np.sqrt(s, out=s)
+    s += state.epsilon
+    np.divide(m, corr1, out=t)
+    t *= state.lr
+    t /= s
+    net.params -= t
     if net.clip is not None:
         clip_weights(net)
 
@@ -335,10 +418,7 @@ def clip_weights(net: Mlp) -> Mlp:
     """Project every weight and bias onto [-clip, clip], in place."""
     if net.clip is None:
         raise ValueError("network has no clip constant")
-    c = net.clip
-    for layer in net.layers:
-        np.clip(layer.weights, -c, c, out=layer.weights)
-        np.clip(layer.biases, -c, c, out=layer.biases)
+    np.clip(net.params, -net.clip, net.clip, out=net.params)
     return net
 
 

@@ -165,7 +165,8 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
     All three gradients are taken at the same parameter snapshot, then
     the updates are applied adversary -> task -> weighter, each
     followed by clipping. Batches without target rows contribute zero
-    to the target-risk term.
+    to the target-risk term; the weighted sums run over every row, so
+    a batch of target rows only is a valid step too.
 
     ``total_rows`` is the size of the full training set the batch was
     drawn from. The weighted sums over a batch understate the full-set
@@ -178,8 +179,6 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
     is_target = np.asarray(is_target, dtype=bool)
     if not (len(X) == len(y) == len(is_target)):
         raise ValueError("X, y and is_target must have matching lengths")
-    if is_target.all():
-        raise ValueError("batch needs at least one source row")
     scale = 1.0 if total_rows is None else total_rows / len(X)
 
     g, cache_q = _forward_cache(model.weighter, X, True, rng)
@@ -203,11 +202,13 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
     v = -scale * w
     if n_b:
         v = v + is_target / n_b
-    gap_grads = _backward(model.adversary, cache_hp, 2.0 * v * err_hp)
+    # the adversary ascends: -2.0 * v * err_hp is the exact negation of
+    # the gap gradient's seed 2.0 * v * err_hp
+    gap_grads = _backward(model.adversary, cache_hp, -2.0 * v * err_hp)
     factors = model.weight_scale * scale * (sq_h - sq_hp)
     grads_q = _backward(model.weighter, cache_q, factors)
 
-    adam_step(model.adversary, gap_grads.scaled(-1.0), model.opt_adversary)
+    adam_step(model.adversary, gap_grads, model.opt_adversary)
     adam_step(model.task, grads_h, model.opt_task)
     adam_step(model.weighter, grads_q, model.opt_weighter)
     return StepDiagnostics(l_q_h, l_tgt_hp, l_q_hp)
@@ -259,6 +260,7 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
         raise ValueError("batch_size must lie in [1, m+n]")
     rng = np.random.default_rng(config.seed)
     curve: list[float] = []
+    pred = None
     for epoch in range(config.epochs):
         if config.stratify_batches:
             order = _stratified_order(rng, train.is_target, config.batch_size)
@@ -273,7 +275,9 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
             curve.append(float(np.mean((pred - validation.y) ** 2)))
     result = RunResult(method="wann", seed=config.seed, curve=curve)
     if validation is not None:
-        pred = forward(model.task, validation.X)
+        # the last epoch's predictions already describe the final model
+        if pred is None:
+            pred = forward(model.task, validation.X)
         err = pred - validation.y
         result.final_mse = float(np.mean(err * err))
         result.final_mae = float(np.mean(np.abs(err)))

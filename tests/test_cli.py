@@ -197,6 +197,25 @@ class TestConfigAndEnv:
         assert proc.returncode == 0, proc.stderr
         assert (out_b / "uniform_21.txt").exists()
 
+    def test_non_integer_env_seed_usage_error(self, shift_csvs, tmp_path):
+        proc = run_cli("fit", "--method", "uniform",
+                       "--train", str(shift_csvs / "train.csv"),
+                       "--out", str(tmp_path / "o"), *FAST_NET,
+                       env_extra={"WANN_SEED": "abc"})
+        assert proc.returncode == 2
+        assert "WANN_SEED" in proc.stderr and "'abc'" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_config_equals_form_loads_file(self, shift_csvs, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("epochs = 3\nhidden = 6\nbatch-size = 16\n"
+                       "seed = 13\n", encoding="utf-8")
+        proc = run_cli("fit", "--method", "uniform",
+                       "--train", str(shift_csvs / "train.csv"),
+                       f"--config={cfg}", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "uniform_13.txt").exists()
+
     def test_missing_config_usage_error(self, tmp_path):
         proc = run_cli("fit", "--method", "uniform", "--train", "x.csv",
                        "--config", str(tmp_path / "absent.txt"),

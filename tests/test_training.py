@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from wann.data import TrainingSet, LabeledSample, labeling_fn
 from wann.nn import (AdamState, DenseLayer, Mlp, TrainingDivergedError,
@@ -140,11 +141,21 @@ class TestWannStep:
                          np.zeros(8, dtype=bool))
         assert diag.l_tgt_hp == 0.0
 
-    def test_all_target_batch_rejected(self):
+    def test_all_target_batch_steps(self):
+        # the weighted sums run over every row, target rows included
+        rng = np.random.default_rng(11)
+        X, y = rng.normal(size=(4, 3)), rng.normal(size=4)
         model = build_wann_model(3, (8,), clip=1.0, seed=11)
-        with pytest.raises(ValueError, match="source"):
-            wann_step(model, np.ones((4, 3)), np.ones(4),
-                      np.ones(4, dtype=bool))
+        w = model.instance_weights(X)
+        sq_h = (forward(model.task, X) - y) ** 2
+        sq_hp = (forward(model.adversary, X) - y) ** 2
+        adversary_before = params_of(model.adversary).copy()
+        diag = wann_step(model, X, y, np.ones(4, dtype=bool))
+        np.testing.assert_allclose(
+            [diag.l_q_h, diag.l_tgt_hp, diag.l_q_hp],
+            [np.dot(w, sq_h), sq_hp.mean(), np.dot(w, sq_hp)], rtol=1e-12)
+        assert not np.array_equal(params_of(model.adversary),
+                                  adversary_before)
 
     def test_non_finite_loss_raises_with_epoch(self):
         model = build_wann_model(2, (4,), clip=1.0, seed=12)
@@ -258,6 +269,32 @@ class TestFitWann:
         result = fit_wann(model, train, config, validation=val)
         assert len(result.curve) == config.epochs
         assert result.final_mse is not None
+
+    @given(m=st.integers(2, 40), target_fraction=st.floats(0.0, 1.0),
+           batch_size=st.integers(1, 40), epochs=st.integers(0, 3))
+    # one-row batches: every target row makes a batch of target rows only
+    @example(m=6, target_fraction=0.5, batch_size=1, epochs=2)
+    def test_any_domain_mix_and_batch_size_completes_deterministically(
+            self, m, target_fraction, batch_size, epochs):
+        n_target = min(max(round(target_fraction * m), 1), m - 1)
+        batch_size = min(batch_size, m)
+        train = small_train(k=m, d=2, n_target=n_target, seed=m)
+        val = LabeledSample(train.X, train.y, "target")
+        results = []
+        for _ in range(2):
+            config = WannConfig(epochs=epochs, batch_size=batch_size,
+                                pretrain_epochs=2, seed=31)
+            model = build_wann_model(2, (4,), clip=1.0, config=config)
+            pretrain_weighter(model, train, config)
+            result = fit_wann(model, train, config, validation=val)
+            err = predict(model, val.X) - val.y
+            assert result.final_mse == float(np.mean(err * err))
+            assert len(result.curve) == epochs
+            results.append(result)
+        first, second = results
+        assert first.curve == second.curve
+        assert first.final_mse == second.final_mse
+        np.testing.assert_array_equal(first.weights, second.weights)
 
     def test_batch_size_validation(self):
         model, train, config = self.make_ready(seed=16)
