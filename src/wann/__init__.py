@@ -10,47 +10,26 @@ benchmark harness round out the package.
 """
 
 from .baselines import (KliepConfig, KmmConfig, TradaboostConfig,
-                        TradaboostEnsemble, kliep_weights, kmm_weights,
-                        target_only_fit, tradaboost_r2_fit, uniform_fit)
-from .data import (CsvFormatError, CsvSchema, LabeledSample,
-                   MixtureShiftSpec, ScalerState, SyntheticData, TrainingSet,
-                   apply_scaler, combine, fit_scaler, gen_mixture_shift,
-                   gen_uniform_shift_1d, labeling_fn, load_csv, save_csv,
-                   unscale_labels)
-from .discrepancy import DiscrepancyEstimate, estimate_y_discrepancy
-from .harness import (ComparisonTable, CsvScenario, ExperimentConfig,
-                      MethodSpec, Metrics, UniformShiftScenario,
-                      build_comparison_table, compute_metrics, emit_plot_data,
-                      export_results, run_experiment)
-from .nn import (AdamState, ArchSpec, DenseLayer, FitConfig, FitTrace,
-                 GradBundle, Mlp, TrainingDivergedError, adam_step, build_mlp,
-                 clip_weights, fit_regression, forward, weighted_mse_grad,
-                 weighted_output_grad)
-from .results import RunResult, parse_run_file, write_run_file
-from .training import (StepDiagnostics, TrainingWeights, WannConfig,
-                       WannModel, build_wann_model, fit_wann,
-                       pretrain_weighter, predict, training_weights,
-                       wann_step)
+                        kliep_weights, kmm_weights, target_only_fit,
+                        tradaboost_r2_fit, uniform_fit)
+from .data import (CsvSchema, MixtureShiftSpec, gen_mixture_shift,
+                   gen_uniform_shift_1d, load_csv, save_csv)
+from .discrepancy import estimate_y_discrepancy
+from .harness import ExperimentConfig, MethodSpec, run_experiment, run_method
+from .nn import ArchSpec, FitConfig
+from .training import (WannConfig, build_wann_model, fit_wann,
+                       pretrain_weighter, predict, training_weights)
 
 __version__ = "0.1.0"
 
+# exactly the names README.md's examples import; everything else is
+# imported from its submodule
 __all__ = [
-    "AdamState", "ArchSpec", "ComparisonTable", "CsvFormatError",
-    "CsvScenario", "CsvSchema", "DenseLayer", "DiscrepancyEstimate",
-    "ExperimentConfig", "FitConfig", "FitTrace", "GradBundle",
-    "KliepConfig", "KmmConfig", "LabeledSample", "MethodSpec", "Metrics",
-    "MixtureShiftSpec", "Mlp", "RunResult", "ScalerState", "StepDiagnostics",
-    "SyntheticData", "TradaboostConfig", "TradaboostEnsemble",
-    "TrainingDivergedError", "TrainingSet",
-    "TrainingWeights", "UniformShiftScenario", "WannConfig", "WannModel",
-    "adam_step", "apply_scaler", "build_comparison_table", "build_mlp",
-    "build_wann_model", "clip_weights", "combine", "compute_metrics",
-    "emit_plot_data", "estimate_y_discrepancy", "export_results",
-    "fit_regression", "fit_scaler", "fit_wann", "forward",
-    "gen_mixture_shift", "gen_uniform_shift_1d", "labeling_fn",
-    "kliep_weights", "kmm_weights", "load_csv", "parse_run_file", "predict",
-    "pretrain_weighter", "run_experiment", "save_csv", "target_only_fit",
-    "tradaboost_r2_fit", "training_weights", "uniform_fit", "unscale_labels",
-    "wann_step", "weighted_mse_grad", "weighted_output_grad",
-    "write_run_file",
+    "ArchSpec", "CsvSchema", "ExperimentConfig", "FitConfig", "KliepConfig",
+    "KmmConfig", "MethodSpec", "MixtureShiftSpec", "TradaboostConfig",
+    "WannConfig", "build_wann_model", "estimate_y_discrepancy", "fit_wann",
+    "gen_mixture_shift", "gen_uniform_shift_1d", "kliep_weights",
+    "kmm_weights", "load_csv", "predict", "pretrain_weighter",
+    "run_experiment", "run_method", "save_csv", "target_only_fit",
+    "tradaboost_r2_fit", "training_weights", "uniform_fit",
 ]

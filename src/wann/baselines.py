@@ -11,7 +11,7 @@ validates them against grid-search oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -342,12 +342,8 @@ def tradaboost_r2_fit(train: TrainingSet, config: TradaboostConfig | None = None
         seed = config.fit.seed + t
         net = config.arch.build(train.X.shape[1],
                                 rng=np.random.default_rng(seed))
-        fit_cfg = FitConfig(epochs=config.fit.epochs,
-                            batch_size=config.fit.batch_size,
-                            lr=config.fit.lr, beta1=config.fit.beta1,
-                            beta2=config.fit.beta2,
-                            epsilon=config.fit.epsilon, seed=seed)
-        fit_regression(net, train.X, train.y, weights, fit_cfg)
+        fit_regression(net, train.X, train.y, weights,
+                       replace(config.fit, seed=seed))
         learners.append(net)
 
         abs_err = np.abs(forward(net, train.X) - train.y)

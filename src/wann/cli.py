@@ -14,6 +14,7 @@ explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,17 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import uniform_fit
-from .data import (MixtureShiftSpec, CsvSchema, TrainingSet,
+from .baselines import KliepConfig, KmmConfig, TradaboostConfig
+from .data import (CsvSchema, MixtureShiftSpec, TrainingSet,
                    gen_uniform_shift_1d, load_csv)
-from .discrepancy import estimate_y_discrepancy
-from .harness import (ExperimentConfig, MethodSpec, compute_metrics,
-                      run_experiment, run_method)
-from .nn import ArchSpec, FitConfig, forward
+from .discrepancy import ASCENT_EPOCHS, estimate_y_discrepancy
+from .harness import ExperimentConfig, MethodSpec, run_experiment, run_method
+from .nn import ArchSpec, FitConfig
 from .results import format_real, parse_kv_lines, write_run_file
 from .svgplot import Line, Points, write_chart
-from .training import (WannConfig, build_wann_model, fit_wann,
-                       pretrain_weighter)
+from .training import WannConfig
 
 METHOD_CHOICES = ("wann", "uniform", "target-only", "kmm", "kliep",
                   "tradaboost")
@@ -46,15 +45,48 @@ def _seed(raw: str) -> int:
             f"got {raw!r}") from None
 
 
-def _int_list(raw: str) -> list[int]:
+def _int_at_least(low: int):
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_count = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+
+def _positive_real(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {raw!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {raw!r}")
+    return value
+
+
+def _fraction(raw: str) -> float:
+    value = _positive_real(raw)
+    if value >= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {raw!r}")
+    return value
+
+
+def _count_list(raw: str) -> list[int]:
     raw = raw.strip()
     if not raw:
         raise argparse.ArgumentTypeError("expected a comma-separated list "
                                          "of integers")
-    try:
-        return [int(v) for v in raw.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {raw!r}") from None
+    return [_count(v) for v in raw.split(",")]
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -66,14 +98,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="master seed (default: WANN_SEED or 0)")
 
 
-def _add_net_flags(parser: argparse.ArgumentParser, epochs: int = 300) -> None:
-    parser.add_argument("--hidden", type=_int_list, default=[100, 100],
+def _add_net_flags(parser: argparse.ArgumentParser,
+                   epochs: int = FitConfig.epochs) -> None:
+    parser.add_argument("--hidden", type=_count_list,
+                        default=list(ArchSpec.hidden),
                         help="hidden layer widths, comma separated")
-    parser.add_argument("--clip", type=float, default=1.0,
+    parser.add_argument("--clip", type=_positive_real, default=ArchSpec.clip,
                         help="weight clipping constant")
-    parser.add_argument("--epochs", type=int, default=epochs)
-    parser.add_argument("--batch-size", type=int, default=128)
-    parser.add_argument("--lr", type=float, default=0.001)
+    parser.add_argument("--epochs", type=_nonnegative, default=epochs)
+    parser.add_argument("--batch-size", type=_count,
+                        default=FitConfig.batch_size)
+    parser.add_argument("--lr", type=_positive_real, default=FitConfig.lr)
+
+
+def _add_pretrain_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pretrain-epochs", type=_nonnegative,
+                        default=WannConfig.pretrain_epochs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,13 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "synth-bench",
         help="mixture-shift benchmark: wann vs uniform vs target-only")
-    bench.add_argument("--dims", type=_int_list, default=[32, 64, 128, 256],
+    bench.add_argument("--dims", type=_count_list, default=[32, 64, 128, 256],
                        help="input dimensions, comma separated")
-    bench.add_argument("--repeats", type=int, default=10)
-    bench.add_argument("--m", type=int, default=1000,
+    bench.add_argument("--repeats", type=_count, default=10)
+    bench.add_argument("--m", type=_count, default=MixtureShiftSpec.m,
                        help="training rows per repeat")
-    bench.add_argument("--target-fraction", type=float, default=0.2)
-    bench.add_argument("--pretrain-epochs", type=int, default=50)
+    bench.add_argument("--target-fraction", type=_fraction,
+                       default=MixtureShiftSpec.target_fraction)
+    _add_pretrain_flag(bench)
     bench.add_argument("--parallel", type=int, default=1,
                        help="worker processes for repeats")
     bench.add_argument("--out", required=True, help="output directory")
@@ -107,13 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="source/target column name")
     fit.add_argument("--test", help="optional test CSV (all target rows)")
     fit.add_argument("--out", required=True, help="output directory")
-    fit.add_argument("--pretrain-epochs", type=int, default=50)
-    fit.add_argument("--bandwidth", type=float,
+    _add_pretrain_flag(fit)
+    fit.add_argument("--bandwidth", type=_positive_real,
                      help="kernel bandwidth for kmm/kliep")
-    fit.add_argument("--kmm-b", type=float, default=1000.0,
+    fit.add_argument("--kmm-b", type=_positive_real, default=KmmConfig.B,
                      help="KMM weight cap B")
-    fit.add_argument("--kliep-centers", type=int, default=100)
-    fit.add_argument("--boost-iters", type=int, default=10)
+    fit.add_argument("--kliep-centers", type=_count,
+                     default=KliepConfig.n_centers)
+    fit.add_argument("--boost-iters", type=_count,
+                     default=TradaboostConfig.n_iterations)
     _add_net_flags(fit)
     _add_common(fit)
 
@@ -122,16 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     ydisc.add_argument("--source", required=True, help="source CSV")
     ydisc.add_argument("--target", required=True, help="target CSV")
     ydisc.add_argument("--target-col", default="y", help="label column name")
-    _add_net_flags(ydisc, epochs=100)
+    _add_net_flags(ydisc, epochs=ASCENT_EPOCHS)
     _add_common(ydisc)
 
     demo = sub.add_parser(
         "demo-negative-transfer",
         help="1-D shifted-uniform demo: reweighting cannot hurt")
     demo.add_argument("--out", required=True, help="output directory")
-    demo.add_argument("--m", type=int, default=200, help="source rows")
-    demo.add_argument("--n", type=int, default=50, help="target rows")
-    demo.add_argument("--pretrain-epochs", type=int, default=50)
+    demo.add_argument("--m", type=_count, default=200, help="source rows")
+    demo.add_argument("--n", type=_count, default=50, help="target rows")
+    _add_pretrain_flag(demo)
     _add_net_flags(demo)
     _add_common(demo)
     return parser
@@ -167,17 +210,25 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser
     return injected + argv
 
 
+def _net_params(args) -> dict:
+    return {"epochs": args.epochs, "batch_size": args.batch_size,
+            "hidden": tuple(args.hidden), "clip": args.clip, "lr": args.lr}
+
+
 def cmd_synth_bench(args) -> int:
-    if not args.dims:
-        raise ValueError("--dims must be nonempty")
-    params = {"epochs": args.epochs, "batch_size": args.batch_size,
-              "hidden": tuple(args.hidden), "clip": args.clip, "lr": args.lr}
+    """Run the benchmark per dimension; exit 1 if any run failed.
+
+    Every dimension runs and writes its artifacts first; the failed
+    runs are then named on stderr.
+    """
+    params = _net_params(args)
     wann_params = dict(params, pretrain_epochs=args.pretrain_epochs)
     out_root = Path(args.out)
+    failed = []
     for dim in args.dims:
         scenario = MixtureShiftSpec(dim=dim, m=args.m,
-                                       target_fraction=args.target_fraction,
-                                       seed=args.seed)
+                                    target_fraction=args.target_fraction,
+                                    seed=args.seed)
         config = ExperimentConfig(
             scenario=scenario,
             methods=[MethodSpec("wann", wann_params),
@@ -189,12 +240,19 @@ def cmd_synth_bench(args) -> int:
             out_dir=str(out_root / f"dim{dim}"),
             n_workers=args.parallel,
         )
-        _, table = run_experiment(config)
+        results, table = run_experiment(config)
+        failed += [f"dim{dim}/{r.method}_{r.seed}: {r.error}"
+                   for r in results if r.error is not None]
         print(f"dim {dim}:")
         for row in table.rows:
             mse = "failed" if row.mean_mse is None else format_real(row.mean_mse)
             std = "" if row.std_mse is None else f" (std {format_real(row.std_mse)})"
             print(f"  rank {row.rank}: {row.method}  mse {mse}{std}")
+    if failed:
+        print(f"error: {len(failed)} run(s) failed:", file=sys.stderr)
+        for line in failed:
+            print(f"  {line}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -213,12 +271,10 @@ def cmd_fit(args) -> int:
         test = load_csv(args.test, CsvSchema(label_col=args.target_col,
                                              domain="target"))
     method = args.method.replace("-", "_")
-    params = {"epochs": args.epochs, "batch_size": args.batch_size,
-              "hidden": tuple(args.hidden), "clip": args.clip, "lr": args.lr,
-              "pretrain_epochs": args.pretrain_epochs,
-              "kernel_bandwidth": args.bandwidth, "B": args.kmm_b,
-              "n_centers": args.kliep_centers,
-              "n_iterations": args.boost_iters, "kind": method}
+    params = dict(_net_params(args), pretrain_epochs=args.pretrain_epochs,
+                  kernel_bandwidth=args.bandwidth, B=args.kmm_b,
+                  n_centers=args.kliep_centers,
+                  n_iterations=args.boost_iters, kind=method)
     result = run_method(MethodSpec(method, params), train, test, args.seed)
     if result.error is not None:
         raise RuntimeError(f"{method} failed: {result.error}")
@@ -270,19 +326,17 @@ def cmd_ydisc(args) -> int:
 
 def cmd_demo_negative_transfer(args) -> int:
     train, grid = gen_uniform_shift_1d(args.m, args.n, args.seed)
-
-    arch = ArchSpec(tuple(args.hidden), clip=args.clip)
-    fit_cfg = FitConfig(epochs=args.epochs, batch_size=args.batch_size,
-                        lr=args.lr, seed=args.seed)
-    unet, _ = uniform_fit(train, arch, fit_cfg)
-    wcfg = WannConfig(epochs=args.epochs, batch_size=args.batch_size,
-                      pretrain_epochs=args.pretrain_epochs, lr=args.lr,
-                      seed=args.seed)
-    model = build_wann_model(1, arch.hidden, clip=args.clip, config=wcfg)
-    pretrain_weighter(model, train, wcfg)
-    fit_wann(model, train, wcfg)
-    preds = {"uniform": forward(unet, grid.X),
-             "wann": forward(model.task, grid.X)}
+    params = _net_params(args)
+    specs = [MethodSpec("uniform", params),
+             MethodSpec("wann", dict(params,
+                                     pretrain_epochs=args.pretrain_epochs))]
+    results = {}
+    for spec in specs:
+        result = run_method(spec, train, grid, args.seed)
+        if result.error is not None:
+            raise RuntimeError(f"{spec.name} failed: {result.error}")
+        results[spec.name] = result
+    preds = {name: result.predictions for name, result in results.items()}
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,10 +355,10 @@ def cmd_demo_negative_transfer(args) -> int:
                      f"{format_real(preds['wann'][k])}\n")
 
     metrics_lines = []
-    for name in ("uniform", "wann"):
-        metrics = compute_metrics(preds[name], grid.y)
-        metrics_lines.append(f"{name}_grid_mse = {format_real(metrics.mse)}")
-        print(f"{name} grid mse {format_real(metrics.mse)}")
+    for name, result in results.items():
+        mse = format_real(result.final_mse)
+        metrics_lines.append(f"{name}_grid_mse = {mse}")
+        print(f"{name} grid mse {mse}")
     (out / "metrics.txt").write_text("\n".join(metrics_lines) + "\n",
                                      encoding="utf-8")
 

@@ -1,4 +1,4 @@
-"""Synthetic generators, CSV ingestion and standard scaling.
+"""Synthetic generators and CSV ingestion.
 
 The synthetic scenarios are a gaussian-mixture-to-single-gaussian
 covariate shift in N dimensions and a 1-D uniform-shift identity task.
@@ -72,17 +72,6 @@ class TrainingSet:
     def target_rows(self) -> LabeledSample:
         keep = self.is_target
         return LabeledSample(self.X[keep], self.y[keep], "target")
-
-
-def combine(source: LabeledSample, target: LabeledSample) -> TrainingSet:
-    """Stack a source and a target sample into one training set."""
-    if source.X.shape[1] != target.X.shape[1]:
-        raise ValueError("source and target have different feature counts")
-    X = np.concatenate([source.X, target.X])
-    y = np.concatenate([source.y, target.y])
-    flags = np.concatenate([np.zeros(len(source), dtype=bool),
-                            np.ones(len(target), dtype=bool)])
-    return TrainingSet(X, y, flags)
 
 
 def labeling_fn(x: np.ndarray) -> float | np.ndarray:
@@ -293,54 +282,3 @@ def save_csv(path: str | Path, data: LabeledSample | TrainingSet,
             if is_training_set:
                 row.append("target" if data.is_target[k] else "source")
             writer.writerow(row)
-
-
-@dataclass
-class ScalerState:
-    """Per-column standardization statistics fitted on a reference sample."""
-
-    x_mean: np.ndarray
-    x_std: np.ndarray
-    y_mean: float | None = None
-    y_std: float | None = None
-
-    @property
-    def scales_labels(self) -> bool:
-        return self.y_mean is not None
-
-
-def fit_scaler(reference: LabeledSample | TrainingSet,
-               scale_labels: bool = False) -> ScalerState:
-    """Fit column means/stds on a reference sample (typically the source).
-
-    Constant columns get their std clamped to 1 so they scale to zero.
-    """
-    if len(reference) == 0:
-        raise ValueError("reference sample is empty")
-    x_mean = reference.X.mean(axis=0)
-    x_std = reference.X.std(axis=0)
-    x_std[x_std == 0.0] = 1.0
-    state = ScalerState(x_mean, x_std)
-    if scale_labels:
-        state.y_mean = float(reference.y.mean())
-        y_std = float(reference.y.std())
-        state.y_std = y_std if y_std > 0.0 else 1.0
-    return state
-
-
-def apply_scaler(state: ScalerState, sample):
-    """Return a standardized copy of a LabeledSample or TrainingSet."""
-    X = (sample.X - state.x_mean) / state.x_std
-    y = sample.y
-    if state.scales_labels:
-        y = (y - state.y_mean) / state.y_std
-    if isinstance(sample, TrainingSet):
-        return TrainingSet(X, y.copy(), sample.is_target.copy())
-    return LabeledSample(X, y.copy(), sample.domain)
-
-
-def unscale_labels(state: ScalerState, y: np.ndarray) -> np.ndarray:
-    """Invert label scaling (identity when labels were not scaled)."""
-    if not state.scales_labels:
-        return np.asarray(y, dtype=np.float64).copy()
-    return np.asarray(y, dtype=np.float64) * state.y_std + state.y_mean

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSample
-from .nn import (AdamState, Mlp, TrainingDivergedError, adam_step, build_mlp,
-                 forward, weighted_mse_grad)
+from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
+                 adam_step, build_mlp, forward, weighted_mse_grad)
+
+# default ascent budget per side, shorter than the training protocol's
+ASCENT_EPOCHS = 100
 
 
 @dataclass
@@ -69,10 +72,11 @@ def _ascend(net: Mlp, sign: float, src_x, src_y, src_w, tgt_x, tgt_y,
 
 def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
                            source_w: np.ndarray, target: LabeledSample, *,
-                           hidden: tuple[int, ...] = (100, 100),
-                           clip: float = 1.0, epochs: int = 100,
-                           batch_size: int = 128, lr: float = 0.001,
-                           seed: int = 0,
+                           hidden: tuple[int, ...] = ArchSpec.hidden,
+                           clip: float = ArchSpec.clip,
+                           epochs: int = ASCENT_EPOCHS,
+                           batch_size: int = FitConfig.batch_size,
+                           lr: float = FitConfig.lr, seed: int = 0,
                            init_net: Mlp | None = None) -> DiscrepancyEstimate:
     """Two-sided adversarial estimate of the maximal risk gap.
 

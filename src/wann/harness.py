@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import baselines
-from .data import (MixtureShiftSpec, CsvSchema, LabeledSample, TrainingSet,
-                   gen_mixture_shift, gen_uniform_shift_1d, load_csv)
+from .data import (LabeledSample, MixtureShiftSpec, TrainingSet,
+                   gen_mixture_shift)
 from .nn import ArchSpec, FitConfig, fit_regression, forward
 from .results import RunResult, format_real, write_run_file
 from .svgplot import Line, write_chart
@@ -45,33 +45,39 @@ def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> Metrics:
     return Metrics(float(np.mean(err * err)), float(np.mean(np.abs(err))))
 
 
-@dataclass
-class UniformShiftScenario:
-    """1-D shifted-uniform identity task."""
-
-    m: int = 200
-    n: int = 50
-    grid_points: int = 201
-
-
-@dataclass
-class CsvScenario:
-    """User data: a combined train CSV plus an optional test CSV."""
-
-    train_path: str
-    schema: CsvSchema = field(default_factory=lambda: CsvSchema(domain_col="domain"))
-    test_path: str | None = None
+# MethodSpec.params keys, grouped by the configuration each one sets;
+# an absent key keeps that configuration's default
+_ARCH_KEYS = ("hidden", "clip", "dropout")
+_FIT_KEYS = ("epochs", "batch_size", "lr")
+_WANN_KEYS = ("pretrain_epochs", "stratify_batches")
+_KMM_KEYS = ("kernel_bandwidth", "B", "eps")
+_KLIEP_KEYS = ("n_centers", "kernel_bandwidth")
+PARAM_KEYS = frozenset(_ARCH_KEYS + _FIT_KEYS + _WANN_KEYS + _KMM_KEYS
+                       + _KLIEP_KEYS
+                       + ("clip_weighter", "n_iterations", "kind"))
 
 
 @dataclass
 class MethodSpec:
+    """One method of an experiment.
+
+    ``params`` holds hyper-parameter overrides (see ``PARAM_KEYS``) and
+    may name the runner under ``kind`` when ``name`` is only a label.
+    """
+
     name: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.params) - PARAM_KEYS)
+        if unknown:
+            raise ValueError(f"unknown method parameter(s) {unknown} for "
+                             f"{self.name!r}; accepted: {sorted(PARAM_KEYS)}")
 
 
 @dataclass
 class ExperimentConfig:
-    scenario: MixtureShiftSpec | UniformShiftScenario | CsvScenario
+    scenario: MixtureShiftSpec
     methods: list[MethodSpec]
     n_repeats: int = 1
     base_seed: int = 0
@@ -86,38 +92,16 @@ class ExperimentConfig:
             raise ValueError("method names must be unique")
 
 
-def materialize_scenario(scenario, seed: int
-                         ) -> tuple[TrainingSet, LabeledSample | None]:
-    """Draw one repeat's data (train set plus evaluation sample)."""
-    if isinstance(scenario, MixtureShiftSpec):
-        data = gen_mixture_shift(replace(scenario, seed=seed))
-        return data.train, data.validation
-    if isinstance(scenario, UniformShiftScenario):
-        train, grid = gen_uniform_shift_1d(scenario.m, scenario.n, seed,
-                                           scenario.grid_points)
-        return train, grid
-    if isinstance(scenario, CsvScenario):
-        train = load_csv(scenario.train_path, scenario.schema)
-        if not isinstance(train, TrainingSet):
-            raise ValueError("training CSV needs a domain column")
-        test = None
-        if scenario.test_path is not None:
-            schema = replace(scenario.schema, domain_col=None, domain="target")
-            test = load_csv(scenario.test_path, schema)
-        return train, test
-    raise TypeError(f"unknown scenario type {type(scenario).__name__}")
+def _pick(params: dict, keys: tuple[str, ...]) -> dict:
+    return {key: params[key] for key in keys if key in params}
 
 
 def _arch(params: dict) -> ArchSpec:
-    return ArchSpec(hidden=tuple(params.get("hidden", (100, 100))),
-                    clip=params.get("clip", 1.0),
-                    dropout=params.get("dropout", 0.0))
+    return ArchSpec(**_pick(params, _ARCH_KEYS))
 
 
 def _fit_config(params: dict, seed: int) -> FitConfig:
-    return FitConfig(epochs=params.get("epochs", 300),
-                     batch_size=params.get("batch_size", 128),
-                     lr=params.get("lr", 0.001), seed=seed)
+    return FitConfig(seed=seed, **_pick(params, _FIT_KEYS))
 
 
 def _validation_pair(validation):
@@ -126,27 +110,28 @@ def _validation_pair(validation):
     return validation.X, validation.y
 
 
-def _trace_result(method, seed, net, trace, validation) -> RunResult:
-    result = RunResult(method=method, seed=seed, curve=list(trace.val_mse))
+def _prediction_result(method, seed, predictions, validation) -> RunResult:
+    result = RunResult(method=method, seed=seed)
     if validation is not None:
-        metrics = compute_metrics(forward(net, validation.X), validation.y)
-        result.final_mse, result.final_mae = metrics
+        result.final_mse, result.final_mae = compute_metrics(predictions,
+                                                             validation.y)
+        result.predictions = predictions
+    return result
+
+
+def _trace_result(method, seed, net, trace, validation) -> RunResult:
+    predictions = None if validation is None else forward(net, validation.X)
+    result = _prediction_result(method, seed, predictions, validation)
+    result.curve = list(trace.val_mse)
     return result
 
 
 def _run_wann(train, validation, seed, params) -> RunResult:
-    config = WannConfig(
-        epochs=params.get("epochs", 300),
-        batch_size=params.get("batch_size", 128),
-        pretrain_epochs=params.get("pretrain_epochs", 50),
-        lr=params.get("lr", 0.001),
-        seed=seed,
-        stratify_batches=params.get("stratify_batches", False),
-    )
+    config = WannConfig(seed=seed, **_pick(params, _FIT_KEYS + _WANN_KEYS))
     arch = _arch(params)
     model = build_wann_model(train.X.shape[1], arch.hidden, clip=arch.clip,
-                             clip_weighter=params.get("clip_weighter"),
-                             dropout=arch.dropout, config=config)
+                             dropout=arch.dropout, config=config,
+                             **_pick(params, ("clip_weighter",)))
     pretrain_weighter(model, train, config)
     return fit_wann(model, train, config, validation)
 
@@ -182,9 +167,7 @@ def _density_weight_result(method, weights, train, validation, seed, params
 
 
 def _run_kmm(train, validation, seed, params) -> RunResult:
-    config = baselines.KmmConfig(
-        kernel_bandwidth=params.get("kernel_bandwidth"),
-        B=params.get("B", 1000.0), eps=params.get("eps"))
+    config = baselines.KmmConfig(**_pick(params, _KMM_KEYS))
     weights = baselines.kmm_weights(train.source_rows().X,
                                     train.target_rows().X, config)
     return _density_weight_result("kmm", weights, train, validation, seed,
@@ -192,9 +175,7 @@ def _run_kmm(train, validation, seed, params) -> RunResult:
 
 
 def _run_kliep(train, validation, seed, params) -> RunResult:
-    config = baselines.KliepConfig(
-        n_centers=params.get("n_centers", 100),
-        kernel_bandwidth=params.get("kernel_bandwidth"), seed=seed)
+    config = baselines.KliepConfig(seed=seed, **_pick(params, _KLIEP_KEYS))
     weights = baselines.kliep_weights(train.source_rows().X,
                                       train.target_rows().X, config)
     return _density_weight_result("kliep", weights, train, validation, seed,
@@ -202,15 +183,13 @@ def _run_kliep(train, validation, seed, params) -> RunResult:
 
 
 def _run_tradaboost(train, validation, seed, params) -> RunResult:
-    config = baselines.TradaboostConfig(
-        n_iterations=params.get("n_iterations", 10),
-        arch=_arch(params),
-        fit=_fit_config(params, seed))
+    config = baselines.TradaboostConfig(arch=_arch(params),
+                                        fit=_fit_config(params, seed),
+                                        **_pick(params, ("n_iterations",)))
     ensemble = baselines.tradaboost_r2_fit(train, config)
-    result = RunResult(method="tradaboost", seed=seed)
-    if validation is not None:
-        metrics = compute_metrics(ensemble.predict(validation.X), validation.y)
-        result.final_mse, result.final_mae = metrics
+    predictions = (None if validation is None
+                   else ensemble.predict(validation.X))
+    result = _prediction_result("tradaboost", seed, predictions, validation)
     result.weights = ensemble.final_weights
     return result
 
@@ -228,13 +207,13 @@ RUNNERS = {
 def run_method(spec: MethodSpec, train: TrainingSet,
                validation: LabeledSample | None, seed: int) -> RunResult:
     """Run one method, capturing failures as an error-tagged result."""
-    runner_name = spec.params.get("kind", spec.name)
-    if runner_name not in RUNNERS:
-        raise ValueError(f"unknown method {runner_name!r}; "
+    kind = spec.params["kind"] if "kind" in spec.params else spec.name
+    if kind not in RUNNERS:
+        raise ValueError(f"unknown method {kind!r}; "
                          f"choices: {sorted(RUNNERS)}")
     start = time.perf_counter()
     try:
-        result = RUNNERS[runner_name](train, validation, seed, spec.params)
+        result = RUNNERS[kind](train, validation, seed, spec.params)
     except Exception as exc:
         result = RunResult(method=spec.name, seed=seed,
                            error=f"{type(exc).__name__}: {exc}")
@@ -244,10 +223,11 @@ def run_method(spec: MethodSpec, train: TrainingSet,
     return result
 
 
-def _run_repeat(scenario, methods: list[MethodSpec], seed: int
-                ) -> list[RunResult]:
-    train, validation = materialize_scenario(scenario, seed)
-    return [run_method(spec, train, validation, seed) for spec in methods]
+def _run_repeat(scenario: MixtureShiftSpec, methods: list[MethodSpec],
+                seed: int) -> list[RunResult]:
+    data = gen_mixture_shift(replace(scenario, seed=seed))
+    return [run_method(spec, data.train, data.validation, seed)
+            for spec in methods]
 
 
 @dataclass

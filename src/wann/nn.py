@@ -151,6 +151,9 @@ class ArchSpec:
     clip: float | None = 1.0
     dropout: float = 0.0
 
+    def __post_init__(self):
+        self.hidden = tuple(self.hidden)
+
     def build(self, n_inputs: int, rng: np.random.Generator | None = None,
               output_activation: str = "identity") -> "Mlp":
         return build_mlp(n_inputs, self.hidden, clip=self.clip,
@@ -158,9 +161,9 @@ class ArchSpec:
                          dropout=self.dropout, rng=rng)
 
 
-def build_mlp(n_inputs: int, hidden: tuple[int, ...] = (100, 100), *,
+def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
               clip: float | None = None, output_activation: str = "identity",
-              dropout: float = 0.0,
+              dropout: float = ArchSpec.dropout,
               rng: np.random.Generator | None = None) -> Mlp:
     """Create an MLP with relu hidden layers and a scalar output.
 
@@ -325,25 +328,28 @@ def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     return loss, grads
 
 
-def weighted_output_grad(net: Mlp, X: np.ndarray, v: np.ndarray,
-                         train: bool = False,
-                         rng: np.random.Generator | None = None
-                         ) -> tuple[float, GradBundle]:
-    """Weighted sum of raw outputs, sum_i v_i * net(x_i), and its gradient.
+@dataclass
+class FitConfig:
+    """Mini-batch Adam training configuration.
 
-    Used for weighting-network updates where the per-example factors
-    v_i are signed loss differences. As with ``weighted_mse_grad``, the
-    gradient is ``net.grads`` and lasts until the next gradient
-    computation on the same net.
+    The defaults are the paper's protocol (300 epochs of batch 128,
+    Adam at lr 0.001); every other default in the package that concerns
+    training refers back to this class.
     """
-    v = np.asarray(v, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if len(X) != len(v):
-        raise ValueError("X and v must have the same number of rows")
-    out, caches = _forward_cache(net, X, train, rng)
-    value = float(np.dot(v, out))
-    grads = _backward(net, caches, v)
-    return value, grads
+
+    epochs: int = 300
+    batch_size: int = 128
+    lr: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    seed: int = 0
+
+    def adam_state(self, net: Mlp) -> "AdamState":
+        """Fresh Adam accumulators for ``net`` with this step size and
+        these moment constants."""
+        return AdamState.for_net(net, lr=self.lr, beta1=self.beta1,
+                                 beta2=self.beta2, epsilon=self.epsilon)
 
 
 @dataclass
@@ -358,10 +364,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float = FitConfig.lr
+    beta1: float = FitConfig.beta1
+    beta2: float = FitConfig.beta2
+    epsilon: float = FitConfig.epsilon
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
                                                    compare=False)
 
@@ -369,10 +375,11 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def for_net(cls, net: Mlp, lr: float = 0.001, beta1: float = 0.9,
-                beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def for_net(cls, net: Mlp, **hyper) -> "AdamState":
+        """Zero moments for ``net``; ``hyper`` may set lr, beta1, beta2
+        and epsilon."""
         return cls(np.zeros_like(net.params), np.zeros_like(net.params),
-                   lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+                   **hyper)
 
 
 def adam_step(net: Mlp, grads: GradBundle, state: AdamState) -> None:
@@ -423,23 +430,9 @@ def clip_weights(net: Mlp) -> Mlp:
 
 
 @dataclass
-class FitConfig:
-    """Mini-batch training configuration for plain weighted regression."""
-
-    epochs: int = 100
-    batch_size: int = 32
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    seed: int = 0
-
-
-@dataclass
 class FitTrace:
-    """Per-epoch training loss, plus validation MSE when requested."""
+    """Per-epoch validation MSE, when a validation sample is given."""
 
-    train_loss: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
 
 
@@ -453,9 +446,10 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     deterministic given (inputs, config). Per-batch gradients are
     scaled by total/batch rows, the unbiased estimate of the full-set
     weighted loss (for uniform 1/k weights this is plain mean-MSE
-    training). Records the full-data training loss after each epoch
-    and, when ``validation`` is given, the unweighted validation MSE
-    of the current network.
+    training). When ``validation`` is given, records the unweighted
+    validation MSE of the current network after each epoch. Raises
+    ``TrainingDivergedError`` once a batch loss or a parameter stops
+    being finite.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -467,10 +461,9 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     if config.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(config.seed)
-    state = AdamState.for_net(net, lr=config.lr, beta1=config.beta1,
-                              beta2=config.beta2, epsilon=config.epsilon)
+    state = config.adam_state(net)
     trace = FitTrace()
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(len(X))
         for start in range(0, len(X), config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -479,13 +472,10 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
                                                   scale * w[idx],
                                                   train=True, rng=rng)
             if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(len(trace.train_loss))
+                raise TrainingDivergedError(epoch)
             adam_step(net, grads, state)
-        err = forward(net, X) - y
-        loss = float(np.dot(w, err * err))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(len(trace.train_loss))
-        trace.train_loss.append(loss)
+        if not np.isfinite(net.params).all():
+            raise TrainingDivergedError(epoch)
         if validation is not None:
             val_x, val_y = validation
             pred = forward(net, val_x)

@@ -2,8 +2,9 @@
 
 One file per run, ``key = value`` lines, reals written with 17
 significant digits so parsing recovers them exactly. Wall-clock time
-is kept in memory only: persisted artifacts must be byte-reproducible
-from the seed.
+and validation predictions are kept in memory only: persisted
+artifacts must be byte-reproducible from the seed, and predictions
+are summarized by the final metrics.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class RunResult:
     weights: np.ndarray | None = None
     error: str | None = None
     wall_seconds: float | None = None
+    predictions: np.ndarray | None = None
 
 
 def write_run_file(result: RunResult, path: str | Path) -> None:

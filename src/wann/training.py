@@ -17,39 +17,28 @@ parameter snapshot, followed by weight clipping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import LabeledSample, TrainingSet
-from .nn import (AdamState, FitConfig, Mlp, TrainingDivergedError, _backward,
-                 _forward_cache, adam_step, build_mlp, fit_regression,
-                 forward)
+from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
+                 _backward, _forward_cache, adam_step, build_mlp,
+                 fit_regression, forward)
 from .results import RunResult
 
 
 @dataclass
-class WannConfig:
-    """Training protocol for the adversarial weighting run."""
+class WannConfig(FitConfig):
+    """Training protocol for the adversarial weighting run.
 
-    epochs: int = 300
-    batch_size: int = 128
+    The fitting fields and their defaults are ``FitConfig``'s; the
+    weighter pretraining runs ``pretrain_epochs`` epochs of that same
+    configuration.
+    """
+
     pretrain_epochs: int = 50
-    lr: float = 0.001
-    pretrain_lr: float | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    seed: int = 0
     stratify_batches: bool = False
-
-    def fit_config(self, epochs: int | None = None,
-                   lr: float | None = None) -> FitConfig:
-        return FitConfig(epochs=self.epochs if epochs is None else epochs,
-                         batch_size=self.batch_size,
-                         lr=self.lr if lr is None else lr,
-                         beta1=self.beta1, beta2=self.beta2,
-                         epsilon=self.epsilon, seed=self.seed)
 
 
 @dataclass
@@ -85,10 +74,11 @@ class WannModel:
         return self.weight_scale * forward(self.weighter, X, train_mode, rng)
 
 
-def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = (100, 100), *,
-                     clip: float | None = 1.0,
+def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden,
+                     *, clip: float | None = ArchSpec.clip,
                      clip_weighter: float | None = None,
-                     dropout: float = 0.0, config: WannConfig | None = None,
+                     dropout: float = ArchSpec.dropout,
+                     config: WannConfig | None = None,
                      seed: int | None = None) -> WannModel:
     """Create a fresh model: h, h' in the same class, q with relu output.
 
@@ -111,12 +101,9 @@ def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = (100, 100), *,
     weighter = build_mlp(n_inputs, hidden,
                          clip=clip if clip_weighter is None else clip_weighter,
                          output_activation="relu", rng=rng)
-    adam = dict(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                epsilon=config.epsilon)
-    return WannModel(task, adversary, weighter,
-                     AdamState.for_net(task, **adam),
-                     AdamState.for_net(adversary, **adam),
-                     AdamState.for_net(weighter, **adam))
+    return WannModel(task, adversary, weighter, config.adam_state(task),
+                     config.adam_state(adversary),
+                     config.adam_state(weighter))
 
 
 def pretrain_weighter(model: WannModel, train: TrainingSet,
@@ -132,12 +119,11 @@ def pretrain_weighter(model: WannModel, train: TrainingSet,
     model.weight_scale = 1.0 / k
     target = np.ones(k)
     uniform = np.full(k, 1.0 / k)
-    lr = config.pretrain_lr if config.pretrain_lr is not None else config.lr
     activation = model.weighter.output_activation
     model.weighter.output_activation = "identity"
     try:
         fit_regression(model.weighter, train.X, target, uniform,
-                       config.fit_config(epochs=config.pretrain_epochs, lr=lr))
+                       replace(config, epochs=config.pretrain_epochs))
     finally:
         model.weighter.output_activation = activation
     return model
@@ -252,7 +238,8 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
 
     The model must have been pretrained (see ``pretrain_weighter``).
     Records the validation MSE of h once per epoch when a validation
-    sample is given. Deterministic per seed; mutates the model.
+    sample is given, and returns h's final predictions on it.
+    Deterministic per seed; mutates the model.
     """
     if train.n_source == 0 or train.n_target == 0:
         raise ValueError("training set needs both source and target rows")
@@ -281,6 +268,7 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
         err = pred - validation.y
         result.final_mse = float(np.mean(err * err))
         result.final_mae = float(np.mean(np.abs(err)))
+        result.predictions = pred
     result.weights = model.instance_weights(train.X)
     return result
 

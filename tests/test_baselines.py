@@ -36,9 +36,9 @@ class TestUniformFit:
         train = make_train(seed=2)
         arch = ArchSpec((8,), clip=1.0)
         config = FitConfig(epochs=10, batch_size=8, seed=9)
-        net1, trace1 = uniform_fit(train, arch, config)
-        net2, trace2 = uniform_fit(train, arch, config)
-        assert trace1.train_loss == trace2.train_loss
+        net1, _ = uniform_fit(train, arch, config)
+        net2, _ = uniform_fit(train, arch, config)
+        np.testing.assert_array_equal(net1.params, net2.params)
         np.testing.assert_array_equal(forward(net1, train.X),
                                       forward(net2, train.X))
 
@@ -62,10 +62,11 @@ class TestTargetOnlyFit:
 
     def test_single_target_row_fits_without_crash(self):
         train = make_train(m=20, n=1, seed=5)
-        net, trace = target_only_fit(train, ArchSpec((8,), clip=1.0),
-                                     FitConfig(epochs=5, batch_size=1,
-                                               seed=2))
-        assert np.isfinite(trace.train_loss[-1])
+        net, _ = target_only_fit(train, ArchSpec((8,), clip=1.0),
+                                 FitConfig(epochs=5, batch_size=1, seed=2))
+        rows = train.target_rows()
+        err = forward(net, rows.X) - rows.y
+        assert np.isfinite(np.mean(err * err))
 
 
 class TestKmm:

@@ -65,6 +65,69 @@ class TestSynthBench:
         assert args.lr == 0.001
 
 
+class TestArgumentValidation:
+    BENCH = ["synth-bench", "--out", "unused"]
+    FIT = ["fit", "--method", "kmm", "--train", "t.csv", "--out", "unused"]
+    DEMO = ["demo-negative-transfer", "--out", "unused"]
+    YDISC = ["ydisc", "--source", "s.csv", "--target", "t.csv"]
+
+    @pytest.mark.parametrize("base, flag, value", [
+        (BENCH, "--batch-size", "0"), (BENCH, "--repeats", "0"),
+        (BENCH, "--m", "0"), (BENCH, "--dims", "8,0"),
+        (BENCH, "--hidden", "0"), (BENCH, "--hidden", "4,-1"),
+        (BENCH, "--epochs", "-1"), (BENCH, "--pretrain-epochs", "-1"),
+        (BENCH, "--clip", "0"), (BENCH, "--clip", "nan"),
+        (BENCH, "--lr", "-0.1"), (BENCH, "--lr", "inf"),
+        (BENCH, "--target-fraction", "0"), (BENCH, "--target-fraction", "1"),
+        (BENCH, "--repeats", "two"),
+        (FIT, "--kliep-centers", "0"), (FIT, "--boost-iters", "0"),
+        (FIT, "--kmm-b", "0"), (FIT, "--bandwidth", "-1"),
+        (FIT, "--pretrain-epochs", "-2"),
+        (DEMO, "--m", "0"), (DEMO, "--n", "0"),
+        (YDISC, "--batch-size", "0"), (YDISC, "--hidden", "0"),
+    ])
+    def test_invalid_number_is_usage_error(self, base, flag, value, capsys):
+        from wann.cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main([*base, flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_boundary_values_accepted(self):
+        from wann.cli import build_parser
+        args = build_parser().parse_args(
+            ["synth-bench", "--out", "x", "--epochs", "0",
+             "--pretrain-epochs", "0", "--target-fraction", "0.5",
+             "--repeats", "1", "--hidden", "1", "--lr", "1e-9"])
+        assert (args.epochs, args.pretrain_epochs) == (0, 0)
+        assert args.hidden == [1] and args.target_fraction == 0.5
+
+    def test_config_file_values_validated(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("batch-size = 0\n", encoding="utf-8")
+        proc = run_cli("synth-bench", "--config", str(cfg),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "--batch-size" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_run_exits_one_after_writing_artifacts(self, tmp_path):
+        out = tmp_path / "bench"
+        # batch 50 exceeds the 40 training rows: wann rejects it,
+        # uniform and target-only train
+        proc = run_cli("synth-bench", "--dims", "3", "--repeats", "1",
+                       "--m", "40", "--out", str(out), "--seed", "3",
+                       "--hidden", "4", "--epochs", "2",
+                       "--pretrain-epochs", "1", "--batch-size", "50")
+        assert proc.returncode == 1
+        assert "dim3/wann_3" in proc.stderr
+        assert "uniform" not in proc.stderr
+        runs = sorted(p.name for p in (out / "dim3" / "runs").glob("*.txt"))
+        assert runs == ["target_only_3.txt", "uniform_3.txt", "wann_3.txt"]
+        assert (out / "dim3" / "table.csv").exists()
+        assert "rank" in proc.stdout
+
+
 class TestFit:
     def test_uniform_on_csv_writes_metrics(self, shift_csvs, tmp_path):
         out = tmp_path / "fit"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from wann.data import (MixtureShiftSpec, CsvFormatError, CsvSchema,
-                       LabeledSample, TrainingSet, apply_scaler, combine,
-                       fit_scaler, gen_mixture_shift, gen_uniform_shift_1d,
-                       labeling_fn, load_csv, save_csv, unscale_labels)
+                       LabeledSample, TrainingSet, gen_mixture_shift,
+                       gen_uniform_shift_1d, labeling_fn, load_csv, save_csv)
 
 
 class TestLabelingFn:
@@ -165,57 +164,3 @@ class TestCsv:
         path.write_text("a,y,domain\n1,2,src\n", encoding="utf-8")
         with pytest.raises(CsvFormatError, match="source.*target"):
             load_csv(path, CsvSchema(label_col="y", domain_col="domain"))
-
-
-class TestScaler:
-    def test_reference_scales_to_standard(self):
-        rng = np.random.default_rng(11)
-        ref = LabeledSample(rng.normal(3.0, 2.5, size=(200, 4)),
-                            rng.normal(size=200))
-        state = fit_scaler(ref)
-        scaled = apply_scaler(state, ref)
-        assert np.abs(scaled.X.mean(axis=0)).max() < 1e-10
-        np.testing.assert_allclose(scaled.X.std(axis=0), 1.0, atol=1e-10)
-
-    def test_constant_column_scales_to_zero(self):
-        X = np.column_stack([np.full(5, 7.0), np.arange(5.0)])
-        state = fit_scaler(LabeledSample(X, np.zeros(5)))
-        scaled = apply_scaler(state, LabeledSample(X, np.zeros(5)))
-        np.testing.assert_array_equal(scaled.X[:, 0], np.zeros(5))
-
-    def test_label_scaling_round_trip(self):
-        rng = np.random.default_rng(12)
-        ref = LabeledSample(rng.normal(size=(50, 2)),
-                            rng.normal(100.0, 30.0, size=50))
-        state = fit_scaler(ref, scale_labels=True)
-        scaled = apply_scaler(state, ref)
-        recovered = unscale_labels(state, scaled.y)
-        np.testing.assert_allclose(recovered, ref.y, rtol=0, atol=1e-12)
-
-    def test_empty_reference_rejected(self):
-        empty = LabeledSample(np.zeros((0, 2)), np.zeros(0))
-        with pytest.raises(ValueError, match="empty"):
-            fit_scaler(empty)
-
-    def test_training_set_passthrough(self):
-        train, _ = gen_uniform_shift_1d(10, 5, seed=13)
-        state = fit_scaler(train.source_rows())
-        scaled = apply_scaler(state, train)
-        assert isinstance(scaled, TrainingSet)
-        np.testing.assert_array_equal(scaled.is_target, train.is_target)
-
-
-class TestCombine:
-    def test_stacks_and_flags(self):
-        src = LabeledSample(np.ones((3, 2)), np.ones(3), "source")
-        tgt = LabeledSample(np.zeros((2, 2)), np.zeros(2), "target")
-        train = combine(src, tgt)
-        assert train.n_source == 3 and train.n_target == 2
-        np.testing.assert_array_equal(train.is_target,
-                                      [False, False, False, True, True])
-
-    def test_feature_mismatch_rejected(self):
-        src = LabeledSample(np.ones((2, 2)), np.ones(2))
-        tgt = LabeledSample(np.ones((2, 3)), np.ones(2))
-        with pytest.raises(ValueError, match="feature"):
-            combine(src, tgt)

@@ -1,20 +1,22 @@
 import filecmp
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wann.data import CsvSchema, save_csv
-from wann.harness import (CsvScenario, ExperimentConfig, MethodSpec,
-                          UniformShiftScenario, build_comparison_table,
-                          compute_metrics, emit_plot_data, export_results,
-                          materialize_scenario, run_experiment)
+from wann.data import MixtureShiftSpec, gen_mixture_shift
+from wann.harness import (PARAM_KEYS, ExperimentConfig, MethodSpec,
+                          build_comparison_table, compute_metrics,
+                          emit_plot_data, export_results, run_experiment,
+                          run_method)
 from wann.nn import ArchSpec, FitConfig, forward
 from wann.baselines import uniform_fit
 from wann.results import RunResult, parse_kv_lines, parse_run_file, write_run_file
 
 FAST = {"epochs": 3, "batch_size": 16, "hidden": (6,), "clip": 1.0,
         "pretrain_epochs": 3}
+TINY = MixtureShiftSpec(dim=2, m=40, n_validation=50)
 
 
 class TestComputeMetrics:
@@ -107,7 +109,7 @@ class TestComparisonTable:
 class TestRunExperiment:
     def test_single_method_single_repeat(self, tmp_path):
         config = ExperimentConfig(
-            scenario=UniformShiftScenario(m=30, n=10),
+            scenario=TINY,
             methods=[MethodSpec("uniform", dict(FAST))],
             n_repeats=1, base_seed=2, out_dir=str(tmp_path / "exp"))
         results, table = run_experiment(config)
@@ -119,7 +121,7 @@ class TestRunExperiment:
     def test_byte_identical_across_runs(self, tmp_path):
         def launch(where):
             config = ExperimentConfig(
-                scenario=UniformShiftScenario(m=30, n=10),
+                scenario=TINY,
                 methods=[MethodSpec("wann", dict(FAST)),
                          MethodSpec("uniform", dict(FAST))],
                 n_repeats=2, base_seed=5, out_dir=str(where))
@@ -141,7 +143,7 @@ class TestRunExperiment:
     def test_method_failure_recorded_not_fatal(self, tmp_path):
         bad = dict(FAST, batch_size=10_000)  # exceeds m+n, fit_wann rejects
         config = ExperimentConfig(
-            scenario=UniformShiftScenario(m=30, n=10),
+            scenario=TINY,
             methods=[MethodSpec("wann", bad),
                      MethodSpec("uniform", dict(FAST))],
             n_repeats=2, base_seed=0, out_dir=str(tmp_path / "exp"))
@@ -153,14 +155,15 @@ class TestRunExperiment:
         assert parsed.error is not None
 
     def test_fairness_methods_share_data(self):
-        scenario = UniformShiftScenario(m=30, n=10)
+        scenario = TINY
         config = ExperimentConfig(
             scenario=scenario,
             methods=[MethodSpec("uniform", dict(FAST))],
             n_repeats=1, base_seed=11, out_dir=None)
         results, _ = run_experiment(config)
-        train, grid = materialize_scenario(scenario, 11)
-        net, _ = uniform_fit(train, ArchSpec((6,), clip=1.0),
+        data = gen_mixture_shift(replace(scenario, seed=11))
+        grid = data.validation
+        net, _ = uniform_fit(data.train, ArchSpec((6,), clip=1.0),
                              FitConfig(epochs=3, batch_size=16, seed=11),
                              validation=(grid.X, grid.y))
         metrics = compute_metrics(forward(net, grid.X), grid.y)
@@ -168,13 +171,13 @@ class TestRunExperiment:
 
     def test_unique_method_names_enforced(self):
         with pytest.raises(ValueError, match="unique"):
-            ExperimentConfig(scenario=UniformShiftScenario(),
+            ExperimentConfig(scenario=TINY,
                              methods=[MethodSpec("a"), MethodSpec("a")])
 
     def test_parallel_matches_serial(self, tmp_path):
         def launch(where, workers):
             config = ExperimentConfig(
-                scenario=UniformShiftScenario(m=30, n=10),
+                scenario=TINY,
                 methods=[MethodSpec("uniform", dict(FAST))],
                 n_repeats=3, base_seed=1, out_dir=str(where),
                 n_workers=workers)
@@ -188,26 +191,39 @@ class TestRunExperiment:
                     tmp_path / "serial")
                 assert filecmp.cmp(rel, other, shallow=False), rel
 
-    def test_csv_scenario(self, tmp_path):
-        from wann.data import gen_uniform_shift_1d
-        train, grid = gen_uniform_shift_1d(25, 10, seed=3)
-        schema = CsvSchema(domain_col="domain")
-        save_csv(tmp_path / "train.csv", train, schema)
-        save_csv(tmp_path / "test.csv", grid)
-        scenario = CsvScenario(str(tmp_path / "train.csv"), schema,
-                               str(tmp_path / "test.csv"))
-        config = ExperimentConfig(
-            scenario=scenario,
-            methods=[MethodSpec("uniform", dict(FAST))],
-            n_repeats=1, base_seed=0, out_dir=None)
-        results, _ = run_experiment(config)
-        assert results[0].final_mse is not None
+
+class TestMethodSpec:
+    def test_unknown_param_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'epoch'") as err:
+            MethodSpec("wann", {"epoch": 5})
+        assert "'epochs'" in str(err.value)  # the accepted keys are listed
+
+    def test_accepted_keys_are_the_documented_fifteen(self):
+        assert PARAM_KEYS == {
+            "hidden", "clip", "dropout", "epochs", "batch_size", "lr",
+            "pretrain_epochs", "stratify_batches", "clip_weighter",
+            "kernel_bandwidth", "B", "eps", "n_centers", "n_iterations",
+            "kind"}
+
+    @pytest.mark.parametrize("method", ["wann", "uniform", "tradaboost"])
+    def test_predictions_kept_in_memory_only(self, method, tmp_path):
+        data = gen_mixture_shift(replace(TINY, seed=4))
+        params = dict(FAST, n_iterations=2) if method == "tradaboost" else FAST
+        result = run_method(MethodSpec(method, dict(params)), data.train,
+                            data.validation, seed=4)
+        assert result.error is None
+        assert result.predictions.shape == data.validation.y.shape
+        metrics = compute_metrics(result.predictions, data.validation.y)
+        assert (metrics.mse, metrics.mae) == (result.final_mse,
+                                              result.final_mae)
+        write_run_file(result, tmp_path / "run.txt")
+        assert "predictions" not in (tmp_path / "run.txt").read_text()
 
 
 class TestPlotOutputs:
     def make_results(self, tmp_path):
         config = ExperimentConfig(
-            scenario=UniformShiftScenario(m=30, n=10),
+            scenario=TINY,
             methods=[MethodSpec("wann", dict(FAST)),
                      MethodSpec("uniform", dict(FAST))],
             n_repeats=2, base_seed=0, out_dir=str(tmp_path / "exp"))

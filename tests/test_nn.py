@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, GradBundle,
-                     Mlp, TrainingDivergedError, adam_step, build_mlp,
-                     clip_weights, fit_regression, forward, weighted_mse_grad,
-                     weighted_output_grad)
+                     Mlp, TrainingDivergedError, _backward, _forward_cache,
+                     adam_step, build_mlp, clip_weights, fit_regression,
+                     forward, weighted_mse_grad)
 
 
 def random_net(rng, n_in=3, hidden=(6, 4), clip=None, output="identity",
@@ -156,7 +156,17 @@ def assert_grads_match_fd(net, grads, loss_fn, step=1e-5, rtol=1e-4):
     np.testing.assert_allclose(analytic, fd, rtol=rtol, atol=1e-8 * denom.max())
 
 
+def weighted_output_grad(net, X, v):
+    """sum_i v_i * net(x_i) and its gradient, the weighter update's form."""
+    out, caches = _forward_cache(net, X, False, None)
+    value = float(np.dot(v, out))
+    return value, _backward(net, caches, v)
+
+
 class TestWeightedOutputGrad:
+    """The weighter update seeds the backward pass with per-row factors
+    v, which makes it the gradient of a weighted sum of outputs."""
+
     def test_value_is_weighted_sum(self):
         rng = np.random.default_rng(8)
         net = random_net(rng)
@@ -260,33 +270,36 @@ class TestFitRegression:
         X = rng.uniform(-1, 1, size=(64, 1))
         y = 2.0 * X[:, 0]
         net = build_mlp(1, (), rng=np.random.default_rng(0))
-        trace = fit_regression(net, X, y, np.full(64, 1 / 64),
-                               FitConfig(epochs=500, batch_size=16, lr=0.01,
-                                         seed=1))
-        assert trace.train_loss[-1] < 1e-3
+        fit_regression(net, X, y, np.full(64, 1 / 64),
+                       FitConfig(epochs=500, batch_size=16, lr=0.01, seed=1))
+        err = forward(net, X) - y
+        assert np.mean(err * err) < 1e-3
 
     def test_zero_epochs_returns_net_unchanged(self):
         rng = np.random.default_rng(17)
         net = random_net(rng)
         before = flatten_params(net).copy()
-        trace = fit_regression(net, rng.normal(size=(8, 3)),
-                               rng.normal(size=8), np.full(8, 0.125),
-                               FitConfig(epochs=0, batch_size=4, seed=0))
+        X, y = rng.normal(size=(8, 3)), rng.normal(size=8)
+        trace = fit_regression(net, X, y, np.full(8, 0.125),
+                               FitConfig(epochs=0, batch_size=4, seed=0),
+                               validation=(X, y))
         np.testing.assert_array_equal(flatten_params(net), before)
-        assert trace.train_loss == [] and trace.val_mse == []
+        assert trace.val_mse == []
 
     def test_same_seed_bit_identical_traces(self):
         rng = np.random.default_rng(18)
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         w = np.full(30, 1 / 30)
-        traces = []
+        runs = []
         for _ in range(2):
             net = build_mlp(3, (5,), rng=np.random.default_rng(7))
             trace = fit_regression(net, X, y, w,
-                                   FitConfig(epochs=10, batch_size=8, seed=3))
-            traces.append(trace.train_loss)
-        assert traces[0] == traces[1]
+                                   FitConfig(epochs=10, batch_size=8, seed=3),
+                                   validation=(X, y))
+            runs.append((net.params.copy(), trace.val_mse))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert len(runs[0][1]) == 10 and runs[0][1] == runs[1][1]
 
     def test_empty_training_set_rejected(self):
         net = random_net(np.random.default_rng(19))
