@@ -150,18 +150,19 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
 
     lo, hi = m * (1.0 - eps), m * (1.0 + eps)
 
-    def objective(w: np.ndarray) -> float:
-        return float(w @ K @ w / (m * m) - 2.0 * (w @ kappa) / (m * n))
+    def objective(w: np.ndarray, Kw: np.ndarray) -> float:
+        return float(w @ Kw / (m * m) - 2.0 * (w @ kappa) / (m * n))
 
+    # K @ w serves both the objective at w and the next gradient
     w = _project_box_band(np.ones(m), config.B, lo, hi)
-    obj = objective(w)
+    Kw = K @ w
+    obj = objective(w, Kw)
     for _ in range(config.max_iter):
-        grad = 2.0 * (K @ w) / (m * m) - 2.0 * kappa / (m * n)
-        w_new = _project_box_band(w - step * grad, config.B, lo, hi)
-        obj_new = objective(w_new)
-        w = w_new
+        grad = 2.0 * Kw / (m * m) - 2.0 * kappa / (m * n)
+        w = _project_box_band(w - step * grad, config.B, lo, hi)
+        Kw = K @ w
+        obj_new = objective(w, Kw)
         if obj - obj_new < config.tol:
-            obj = obj_new
             break
         obj = obj_new
     w = np.clip(w, 0.0, config.B)

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--target-fraction", type=_fraction,
                        default=MixtureShiftSpec.target_fraction)
     _add_pretrain_flag(bench)
-    bench.add_argument("--parallel", type=int, default=1,
+    bench.add_argument("--parallel", type=_count, default=1,
                        help="worker processes for repeats")
     bench.add_argument("--out", required=True, help="output directory")
     _add_net_flags(bench)

@@ -35,6 +35,25 @@ class DiscrepancyEstimate:
     negative_side: float
 
 
+def gap_weights(w: np.ndarray, is_target: np.ndarray, scale: float
+                ) -> np.ndarray:
+    """Per-row factors v with sum_i v_i (h'(x_i) - y_i)^2 the batch's
+    estimate of the signed gap d(h').
+
+    ``w`` are the rows' weights in the weighted source risk and
+    ``is_target`` marks target rows. The target risk is the mean over
+    the batch's target rows, an unbiased estimate already; the weighted
+    source sum over a batch understates the full-set sum by
+    batch/total, so the weights are multiplied by ``scale`` =
+    total/batch rows. A batch without target rows has no target term.
+    """
+    v = -scale * w
+    n_b = int(is_target.sum())
+    if n_b:
+        v = v + is_target / n_b
+    return v
+
+
 def _signed_gap(net: Mlp, src_x, src_y, src_w, tgt_x, tgt_y) -> float:
     src_err = forward(net, src_x) - src_y
     tgt_err = forward(net, tgt_x) - tgt_y
@@ -56,12 +75,9 @@ def _ascend(net: Mlp, sign: float, src_x, src_y, src_w, tgt_x, tgt_y,
         order = rng.permutation(len(X))
         for start in range(0, len(X), batch_size):
             idx = order[start:start + batch_size]
-            n_b = int(flags[idx].sum())
-            u = -w_full[idx]
-            if n_b:
-                u = u + flags[idx] / n_b
-            # ascend sign * d: descend on the loss with weights -sign * u
-            _, grads = weighted_mse_grad(net, X[idx], y[idx], -sign * u)
+            v = gap_weights(w_full[idx], flags[idx], len(X) / len(idx))
+            # ascend sign * d: descend on the loss with weights -sign * v
+            _, grads = weighted_mse_grad(net, X[idx], y[idx], -sign * v)
             adam_step(net, grads, state)
         d = _signed_gap(net, src_x, src_y, src_w, tgt_x, tgt_y)
         if not math.isfinite(d):

@@ -47,14 +47,14 @@ def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> Metrics:
 
 # MethodSpec.params keys, grouped by the configuration each one sets;
 # an absent key keeps that configuration's default
-_ARCH_KEYS = ("hidden", "clip", "dropout")
+_ARCH_KEYS = ("hidden", "clip")
 _FIT_KEYS = ("epochs", "batch_size", "lr")
-_WANN_KEYS = ("pretrain_epochs", "stratify_batches")
+_WANN_KEYS = ("pretrain_epochs",)
 _KMM_KEYS = ("kernel_bandwidth", "B", "eps")
 _KLIEP_KEYS = ("n_centers", "kernel_bandwidth")
 PARAM_KEYS = frozenset(_ARCH_KEYS + _FIT_KEYS + _WANN_KEYS + _KMM_KEYS
                        + _KLIEP_KEYS
-                       + ("clip_weighter", "n_iterations", "kind"))
+                       + ("n_iterations", "kind"))
 
 
 @dataclass
@@ -130,8 +130,7 @@ def _run_wann(train, validation, seed, params) -> RunResult:
     config = WannConfig(seed=seed, **_pick(params, _FIT_KEYS + _WANN_KEYS))
     arch = _arch(params)
     model = build_wann_model(train.X.shape[1], arch.hidden, clip=arch.clip,
-                             dropout=arch.dropout, config=config,
-                             **_pick(params, ("clip_weighter",)))
+                             config=config)
     pretrain_weighter(model, train, config)
     return fit_wann(model, train, config, validation)
 

@@ -22,6 +22,11 @@ import numpy as np
 
 _ACTIVATIONS = ("relu", "identity")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
     """Copy per-layer arrays into one flat vector, returning it and views.
@@ -45,8 +50,6 @@ def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
 class DenseLayer:
     """Fully connected layer: out = act(x @ weights + biases).
 
-    Dropout, when configured, is inverted dropout applied to the layer
-    output in training mode only; evaluation mode is deterministic.
     Inside an ``Mlp`` the arrays are views into the network's flat
     parameter vector: update them in place, never rebind them.
     """
@@ -54,7 +57,6 @@ class DenseLayer:
     weights: np.ndarray
     biases: np.ndarray
     activation: str = "identity"
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         # own copies: layers are updated in place by the optimizer
@@ -69,8 +71,6 @@ class DenseLayer:
             )
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
     @property
     def n_inputs(self) -> int:
@@ -82,7 +82,7 @@ class DenseLayer:
 
     def copy(self) -> "DenseLayer":
         return DenseLayer(self.weights.copy(), self.biases.copy(),
-                          self.activation, self.dropout_rate)
+                          self.activation)
 
 
 @dataclass
@@ -145,11 +145,10 @@ class Mlp:
 
 @dataclass
 class ArchSpec:
-    """Architecture class: hidden widths, clip constant, dropout rate."""
+    """Architecture class: hidden widths and clip constant."""
 
     hidden: tuple[int, ...] = (100, 100)
     clip: float | None = 1.0
-    dropout: float = 0.0
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
@@ -157,18 +156,15 @@ class ArchSpec:
     def build(self, n_inputs: int, rng: np.random.Generator | None = None,
               output_activation: str = "identity") -> "Mlp":
         return build_mlp(n_inputs, self.hidden, clip=self.clip,
-                         output_activation=output_activation,
-                         dropout=self.dropout, rng=rng)
+                         output_activation=output_activation, rng=rng)
 
 
 def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
               clip: float | None = None, output_activation: str = "identity",
-              dropout: float = ArchSpec.dropout,
               rng: np.random.Generator | None = None) -> Mlp:
     """Create an MLP with relu hidden layers and a scalar output.
 
-    Weights are Glorot-uniform, biases zero. ``dropout`` applies to
-    hidden layers only.
+    Weights are Glorot-uniform, biases zero.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -183,7 +179,6 @@ def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
             weights=weights,
             biases=np.zeros(fan_out),
             activation="relu" if is_hidden else "identity",
-            dropout_rate=dropout if is_hidden else 0.0,
         ))
     net = Mlp(layers, clip=clip, output_activation=output_activation)
     if clip is not None:
@@ -191,14 +186,13 @@ def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
     return net
 
 
-def _forward_cache(net: Mlp, X: np.ndarray, train: bool,
-                   rng: np.random.Generator | None):
+def _forward_cache(net: Mlp, X: np.ndarray):
     """Forward pass keeping per-layer caches for the backward pass.
 
-    Returns (outputs [b], caches). Each cache holds the layer input,
-    the layer output and the dropout scale mask (or None). Outputs and
-    caches are views into the net's activation buffers: they stay
-    valid until the next forward or backward pass on the same net.
+    Returns (outputs [b], caches). Each cache holds the layer input and
+    the layer output. Outputs and caches are views into the net's
+    activation buffers: they stay valid until the next forward or
+    backward pass on the same net.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -219,14 +213,7 @@ def _forward_cache(net: Mlp, X: np.ndarray, train: bool,
         out += layer.biases
         if layer.activation == "relu":
             np.maximum(out, 0.0, out=out)
-        mask = None
-        if train and layer.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training-mode dropout needs an rng")
-            keep = 1.0 - layer.dropout_rate
-            mask = (rng.random(out.shape) < keep) / keep
-            out *= mask
-        caches.append((a, out, mask))
+        caches.append((a, out))
         a = out
     y = a[:, 0]
     if net.output_activation == "relu":
@@ -253,9 +240,7 @@ def _backward(net: Mlp, caches, d_out: np.ndarray) -> "GradBundle":
         y[...] = d_out
     delta = top
     for k in range(len(net.layers) - 1, -1, -1):
-        a_in, _, mask = caches[k]
-        if mask is not None:
-            delta *= mask
+        a_in = caches[k][0]
         if pos is not None:
             delta *= pos
         np.matmul(a_in.T, delta, out=grads.d_weights[k])
@@ -289,28 +274,24 @@ class GradBundle:
                    [np.zeros_like(layer.biases) for layer in net.layers])
 
 
-def forward(net: Mlp, X: np.ndarray, train: bool = False,
-            rng: np.random.Generator | None = None) -> np.ndarray:
+def forward(net: Mlp, X: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch, returning one output per row.
 
-    Evaluation mode (the default) is a deterministic function of
-    (net, X); training mode draws dropout masks from ``rng``. The
-    result is a new array owned by the caller.
+    The result is a deterministic function of (net, X) and a new array
+    owned by the caller.
     """
-    y, _ = _forward_cache(net, X, train, rng)
+    y, _ = _forward_cache(net, X)
     return y.copy()
 
 
-def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                      train: bool = False,
-                      rng: np.random.Generator | None = None
+def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray
                       ) -> tuple[float, GradBundle]:
     """Weighted sum of squared errors and its exact parameter gradient.
 
     loss = sum_i w_i * (net(x_i) - y_i)^2. Weights may be negative
     (signed per-example factors appear in adversarial updates). The
-    loss and gradient share one forward pass, so training-mode dropout
-    masks are common to both. The gradient is the net's own bundle
+    loss and gradient share one forward pass. The gradient is the net's
+    own bundle
     (``net.grads``): it stays valid until the next gradient
     computation on the same net.
     """
@@ -321,7 +302,7 @@ def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
         raise ValueError("X, y and w must have the same number of rows")
     if len(X) < 1:
         raise ValueError("need at least one example")
-    out, caches = _forward_cache(net, X, train, rng)
+    out, caches = _forward_cache(net, X)
     err = out - y
     loss = float(np.dot(w, err * err))
     grads = _backward(net, caches, 2.0 * w * err)
@@ -340,16 +321,7 @@ class FitConfig:
     epochs: int = 300
     batch_size: int = 128
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
-
-    def adam_state(self, net: Mlp) -> "AdamState":
-        """Fresh Adam accumulators for ``net`` with this step size and
-        these moment constants."""
-        return AdamState.for_net(net, lr=self.lr, beta1=self.beta1,
-                                 beta2=self.beta2, epsilon=self.epsilon)
 
 
 @dataclass
@@ -365,9 +337,6 @@ class AdamState:
     v: np.ndarray
     step_count: int = 0
     lr: float = FitConfig.lr
-    beta1: float = FitConfig.beta1
-    beta2: float = FitConfig.beta2
-    epsilon: float = FitConfig.epsilon
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
                                                    compare=False)
 
@@ -375,11 +344,10 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def for_net(cls, net: Mlp, **hyper) -> "AdamState":
-        """Zero moments for ``net``; ``hyper`` may set lr, beta1, beta2
-        and epsilon."""
+    def for_net(cls, net: Mlp, lr: float = FitConfig.lr) -> "AdamState":
+        """Zero moments for ``net`` with step size ``lr``."""
         return cls(np.zeros_like(net.params), np.zeros_like(net.params),
-                   **hyper)
+                   lr=lr)
 
 
 def adam_step(net: Mlp, grads: GradBundle, state: AdamState) -> None:
@@ -388,7 +356,8 @@ def adam_step(net: Mlp, grads: GradBundle, state: AdamState) -> None:
     The update runs once over the flat vectors, in the state's scratch
     space, with the per-element arithmetic of the textbook form:
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g, and
-    params -= lr (m / c1) / (sqrt(v / c2) + eps).
+    params -= lr (m / c1) / (sqrt(v / c2) + eps), with b1, b2 and eps
+    the module's ``BETA1``, ``BETA2`` and ``EPSILON``.
     """
     if len(grads.d_weights) != len(net.layers):
         raise ValueError("gradient bundle does not match network depth")
@@ -399,20 +368,20 @@ def adam_step(net: Mlp, grads: GradBundle, state: AdamState) -> None:
             raise ValueError("gradient arrays must be views into the "
                              "bundle's flat vector; update them in place")
     state.step_count += 1
-    corr1 = 1.0 - state.beta1 ** state.step_count
-    corr2 = 1.0 - state.beta2 ** state.step_count
+    corr1 = 1.0 - BETA1 ** state.step_count
+    corr2 = 1.0 - BETA2 ** state.step_count
     g, m, v = grads.flat, state.m, state.v
     s, t = state.scratch
-    np.multiply(g, 1.0 - state.beta1, out=s)
-    m *= state.beta1
+    np.multiply(g, 1.0 - BETA1, out=s)
+    m *= BETA1
     m += s
-    np.multiply(g, 1.0 - state.beta2, out=s)
+    np.multiply(g, 1.0 - BETA2, out=s)
     s *= g
-    v *= state.beta2
+    v *= BETA2
     v += s
     np.divide(v, corr2, out=s)
     np.sqrt(s, out=s)
-    s += state.epsilon
+    s += EPSILON
     np.divide(m, corr1, out=t)
     t *= state.lr
     t /= s
@@ -461,7 +430,7 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     if config.batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(config.seed)
-    state = config.adam_state(net)
+    state = AdamState.for_net(net, lr=config.lr)
     trace = FitTrace()
     for epoch in range(config.epochs):
         order = rng.permutation(len(X))
@@ -469,8 +438,7 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
             idx = order[start:start + config.batch_size]
             scale = len(X) / len(idx)
             batch_loss, grads = weighted_mse_grad(net, X[idx], y[idx],
-                                                  scale * w[idx],
-                                                  train=True, rng=rng)
+                                                  scale * w[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch)
             adam_step(net, grads, state)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledSample, TrainingSet
+from .discrepancy import gap_weights
 from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
                  _backward, _forward_cache, adam_step, build_mlp,
                  fit_regression, forward)
@@ -38,14 +39,13 @@ class WannConfig(FitConfig):
     """
 
     pretrain_epochs: int = 50
-    stratify_batches: bool = False
 
 
 @dataclass
 class WannModel:
     """Task network h, adversary h' and weighting network q.
 
-    h and h' share one architecture class and clipping constant; q
+    h, h' and q share one architecture class and clipping constant; q
     carries a relu output so its weights are nonnegative.
 
     The weighting network emits relative weights; the instance weight
@@ -69,41 +69,33 @@ class WannModel:
         if self.weight_scale <= 0.0:
             raise ValueError("weight_scale must be positive")
 
-    def instance_weights(self, X: np.ndarray, train_mode: bool = False,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
-        return self.weight_scale * forward(self.weighter, X, train_mode, rng)
+    def instance_weights(self, X: np.ndarray) -> np.ndarray:
+        return self.weight_scale * forward(self.weighter, X)
 
 
 def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden,
                      *, clip: float | None = ArchSpec.clip,
-                     clip_weighter: float | None = None,
-                     dropout: float = ArchSpec.dropout,
                      config: WannConfig | None = None,
                      seed: int | None = None) -> WannModel:
-    """Create a fresh model: h, h' in the same class, q with relu output.
+    """Create a fresh model: h, h' and q in one class, q with relu output.
 
-    The weighter clip defaults to the task clip. ``seed`` defaults to
-    the config seed; h, h' and q are drawn sequentially from one
-    generator stream.
+    ``seed`` defaults to the config seed; h, h' and q are drawn
+    sequentially from one generator stream.
     """
     config = config or WannConfig()
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    task = build_mlp(n_inputs, hidden, clip=clip, dropout=dropout, rng=rng)
+    task = build_mlp(n_inputs, hidden, clip=clip, rng=rng)
     # The adversary starts at the task's parameters: their loss
     # difference, which drives the weighter, is then exactly zero at
     # step one and grows out of the adversarial play itself. Distinct
     # random starts instead hand the weighter several full-size steps
     # of pure initialization luck, enough to saturate its relu output.
-    # Dropout stays off for the adversary and the weighter.
     adversary = task.copy()
-    for layer in adversary.layers:
-        layer.dropout_rate = 0.0
-    weighter = build_mlp(n_inputs, hidden,
-                         clip=clip if clip_weighter is None else clip_weighter,
+    weighter = build_mlp(n_inputs, hidden, clip=clip,
                          output_activation="relu", rng=rng)
-    return WannModel(task, adversary, weighter, config.adam_state(task),
-                     config.adam_state(adversary),
-                     config.adam_state(weighter))
+    nets = (task, adversary, weighter)
+    return WannModel(*nets, *(AdamState.for_net(net, lr=config.lr)
+                              for net in nets))
 
 
 def pretrain_weighter(model: WannModel, train: TrainingSet,
@@ -143,8 +135,8 @@ class StepDiagnostics:
 
 
 def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
-              is_target: np.ndarray, rng: np.random.Generator | None = None,
-              epoch: int = 0, total_rows: int | None = None
+              is_target: np.ndarray, epoch: int = 0,
+              total_rows: int | None = None
               ) -> StepDiagnostics:
     """One gradient descent-ascent step on a batch.
 
@@ -167,10 +159,10 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
         raise ValueError("X, y and is_target must have matching lengths")
     scale = 1.0 if total_rows is None else total_rows / len(X)
 
-    g, cache_q = _forward_cache(model.weighter, X, True, rng)
+    g, cache_q = _forward_cache(model.weighter, X)
     w = model.weight_scale * g
-    out_h, cache_h = _forward_cache(model.task, X, True, rng)
-    out_hp, cache_hp = _forward_cache(model.adversary, X, True, rng)
+    out_h, cache_h = _forward_cache(model.task, X)
+    out_hp, cache_hp = _forward_cache(model.adversary, X)
     err_h = out_h - y
     err_hp = out_hp - y
     sq_h = err_h * err_h
@@ -185,9 +177,7 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
         raise TrainingDivergedError(epoch)
 
     grads_h = _backward(model.task, cache_h, 2.0 * scale * w * err_h)
-    v = -scale * w
-    if n_b:
-        v = v + is_target / n_b
+    v = gap_weights(w, is_target, scale)
     # the adversary ascends: -2.0 * v * err_hp is the exact negation of
     # the gap gradient's seed 2.0 * v * err_hp
     gap_grads = _backward(model.adversary, cache_hp, -2.0 * v * err_hp)
@@ -198,38 +188,6 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
     adam_step(model.task, grads_h, model.opt_task)
     adam_step(model.weighter, grads_q, model.opt_weighter)
     return StepDiagnostics(l_q_h, l_tgt_hp, l_q_hp)
-
-
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
-
-
-def _stratified_order(rng: np.random.Generator, is_target: np.ndarray,
-                      batch_size: int) -> np.ndarray:
-    """Shuffle so every batch holds at least one target row.
-
-    One target row is reserved per batch; everything else is shuffled
-    uniformly over the remaining slots.
-    """
-    tgt = rng.permutation(np.flatnonzero(is_target))
-    n = len(is_target)
-    n_batches = math.ceil(n / batch_size)
-    if len(tgt) < n_batches:
-        raise ValueError(
-            f"stratified batching needs >= {n_batches} target rows, "
-            f"got {len(tgt)}"
-        )
-    rest = rng.permutation(
-        np.concatenate([tgt[n_batches:], np.flatnonzero(~is_target)]))
-    chunks = []
-    pos = 0
-    for k in range(n_batches):
-        size = min(batch_size, n - k * batch_size)
-        chunks.append(tgt[k:k + 1])
-        chunks.append(rest[pos:pos + size - 1])
-        pos += size - 1
-    return np.concatenate(chunks)
 
 
 def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
@@ -249,13 +207,11 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
     curve: list[float] = []
     pred = None
     for epoch in range(config.epochs):
-        if config.stratify_batches:
-            order = _stratified_order(rng, train.is_target, config.batch_size)
-        else:
-            order = rng.permutation(len(train))
-        for idx in _batches(order, config.batch_size):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), config.batch_size):
+            idx = order[start:start + config.batch_size]
             wann_step(model, train.X[idx], train.y[idx],
-                      train.is_target[idx], rng=rng, epoch=epoch,
+                      train.is_target[idx], epoch=epoch,
                       total_rows=len(train))
         if validation is not None:
             pred = forward(model.task, validation.X)

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import wann
+from wann.harness import PARAM_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +31,11 @@ def test_all_equals_readme_imports():
 def test_every_exported_name_resolves():
     for name in wann.__all__:
         assert getattr(wann, name) is not None, name
+
+
+def test_readme_lists_the_accepted_method_params():
+    text = " ".join(README.read_text("utf-8").split())
+    listed = re.search(r"`MethodSpec\.params` accepts (.*?) \(the runner",
+                       text)
+    assert listed, "README.md does not list the MethodSpec.params keys"
+    assert set(re.findall(r"`(\w+)`", listed.group(1))) == PARAM_KEYS

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wann.baselines import (KliepConfig, KmmConfig, TradaboostConfig,
-                            _gaussian_kernel, kliep_weights, kmm_weights,
+                            _gaussian_kernel, _project_box_band,
+                            kliep_weights, kmm_weights,
                             median_pairwise_distance, target_only_fit,
                             tradaboost_r2_fit, uniform_fit)
 from wann.data import TrainingSet
@@ -83,6 +84,41 @@ class TestKmm:
             return v @ K @ v / 100 - 2 * (v @ kappa) / 100
 
         assert objective(w) <= objective(np.ones(10)) + 1e-10
+
+    @pytest.mark.parametrize("tol", [KmmConfig.tol, 1e-6])
+    def test_matches_loop_that_recomputes_the_kernel_product(self, tol):
+        # the solver once evaluated w @ K @ w for the objective and then
+        # K @ w again for the next gradient; reusing one K @ w per
+        # iteration must leave every bit of the weights unchanged, both
+        # when the loop runs out of iterations and when it meets tol
+        rng = np.random.default_rng(9)
+        m, n = 60, 20
+        Xs, Xt = rng.normal(size=(m, 3)), rng.normal(0.5, 1.0, size=(n, 3))
+        config = KmmConfig(tol=tol)
+        sigma = median_pairwise_distance(Xs, Xt)
+        eps = (math.sqrt(m) - 1.0) / math.sqrt(m)
+        K = _gaussian_kernel(Xs, Xs, sigma)
+        K = 0.5 * (K + K.T) + 1e-8 * np.eye(m)
+        kappa = _gaussian_kernel(Xs, Xt, sigma).sum(axis=1)
+        step = (m * m) / (2.0 * max(np.linalg.eigvalsh(K)[-1], 1e-12))
+        lo, hi = m * (1.0 - eps), m * (1.0 + eps)
+
+        def objective(w):
+            return float(w @ K @ w / (m * m) - 2.0 * (w @ kappa) / (m * n))
+
+        w = _project_box_band(np.ones(m), config.B, lo, hi)
+        obj = objective(w)
+        for iters in range(1, config.max_iter + 1):
+            grad = 2.0 * (K @ w) / (m * m) - 2.0 * kappa / (m * n)
+            w_new = _project_box_band(w - step * grad, config.B, lo, hi)
+            obj_new = objective(w_new)
+            w = w_new
+            if obj - obj_new < config.tol:
+                break
+            obj = obj_new
+        assert (iters < config.max_iter) == (tol > KmmConfig.tol)
+        assert np.array_equal(kmm_weights(Xs, Xt, config),
+                              np.clip(w, 0.0, config.B))
 
     def test_feasibility_on_random_instances(self):
         rng = np.random.default_rng(7)

@@ -85,6 +85,7 @@ class TestArgumentValidation:
         (FIT, "--pretrain-epochs", "-2"),
         (DEMO, "--m", "0"), (DEMO, "--n", "0"),
         (YDISC, "--batch-size", "0"), (YDISC, "--hidden", "0"),
+        (BENCH, "--parallel", "0"), (BENCH, "--parallel", "-1"),
     ])
     def test_invalid_number_is_usage_error(self, base, flag, value, capsys):
         from wann.cli import main
@@ -98,8 +99,10 @@ class TestArgumentValidation:
         args = build_parser().parse_args(
             ["synth-bench", "--out", "x", "--epochs", "0",
              "--pretrain-epochs", "0", "--target-fraction", "0.5",
-             "--repeats", "1", "--hidden", "1", "--lr", "1e-9"])
+             "--repeats", "1", "--hidden", "1", "--lr", "1e-9",
+             "--parallel", "1"])
         assert (args.epochs, args.pretrain_epochs) == (0, 0)
+        assert args.parallel == 1
         assert args.hidden == [1] and args.target_fraction == 0.5
 
     def test_config_file_values_validated(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wann.data import LabeledSample, TrainingSet, gen_uniform_shift_1d, labeling_fn
-from wann.discrepancy import estimate_y_discrepancy
+from wann.discrepancy import estimate_y_discrepancy, gap_weights
 from wann.training import (WannConfig, build_wann_model, fit_wann,
                            pretrain_weighter, training_weights)
 
@@ -19,6 +19,33 @@ class TestIdentityCase:
         assert est.value <= 1e-6
         assert est.positive_side <= 1e-6
         assert est.negative_side <= 1e-6
+
+
+class TestGapWeights:
+    def test_equal_batches_average_to_the_full_data_gap(self):
+        # 24 rows in 4 batches of 6, each batch with 2 target rows; the
+        # source weights sum to one and are zero on target rows
+        rng = np.random.default_rng(3)
+        batches = rng.permutation(24).reshape(4, 6)
+        is_target = np.zeros(24, dtype=bool)
+        is_target[batches[:, :2]] = True
+        w = np.where(is_target, 0.0, rng.uniform(size=24))
+        w /= w.sum()
+        losses = rng.uniform(0.0, 2.0, size=24)
+        source_term = -float(np.dot(w, losses))
+        full_gap = float(losses[is_target].mean()) + source_term
+
+        def batch_mean(flags, scale):
+            return np.mean([np.dot(gap_weights(w[idx], flags[idx], scale),
+                                   losses[idx]) for idx in batches])
+
+        no_target = np.zeros(24, dtype=bool)
+        assert np.isclose(batch_mean(no_target, 24 / 6), source_term,
+                          rtol=1e-14)
+        assert np.isclose(batch_mean(is_target, 24 / 6), full_gap, rtol=1e-14)
+        # unscaled, the source term shrinks to batch/total of its size
+        assert np.isclose(batch_mean(no_target, 1.0), source_term / 4,
+                          rtol=1e-14)
 
 
 class TestShiftCase:

@@ -25,7 +25,6 @@ class RefNet:
         self.weights = [layer.weights.copy() for layer in net.layers]
         self.biases = [layer.biases.copy() for layer in net.layers]
         self.activations = [layer.activation for layer in net.layers]
-        self.dropout = [layer.dropout_rate for layer in net.layers]
         self.clip = net.clip
         self.output_activation = net.output_activation
         self.m_w = [np.zeros_like(w) for w in self.weights]
@@ -49,19 +48,13 @@ class RefNet:
         return np.concatenate([np.concatenate([w.ravel(), b])
                                for w, b in zip(self.weights, self.biases)])
 
-    def forward_cache(self, X, train, rng):
+    def forward_cache(self, X):
         caches = []
         a = np.asarray(X, dtype=np.float64)
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w + b
-            out = self._act(z, self.activations[k])
-            mask = None
-            if train and self.dropout[k] > 0.0:
-                keep = 1.0 - self.dropout[k]
-                mask = (rng.random(out.shape) < keep) / keep
-                out = out * mask
-            caches.append((a, z, mask))
-            a = out
+            caches.append((a, z))
+            a = self._act(z, self.activations[k])
         z_out = a[:, 0]
         caches.append(z_out)
         return self._act(z_out, self.output_activation), caches
@@ -72,9 +65,7 @@ class RefNet:
         n = len(self.weights)
         d_w, d_b = [None] * n, [None] * n
         for k in range(n - 1, -1, -1):
-            a_in, z, mask = caches[k]
-            if mask is not None:
-                delta = delta * mask
+            a_in, z = caches[k]
             delta = delta * self._act_grad(z, self.activations[k])
             d_w[k] = a_in.T @ delta
             d_b[k] = delta.sum(axis=0)
@@ -104,20 +95,20 @@ class RefNet:
             for arr in self.weights + self.biases:
                 np.clip(arr, -self.clip, self.clip, out=arr)
 
-    def mse_grad(self, X, y, w, train=False, rng=None):
-        out, caches = self.forward_cache(X, train, rng)
+    def mse_grad(self, X, y, w):
+        out, caches = self.forward_cache(X)
         err = out - y
         return self.backward(caches, 2.0 * w * err)
 
 
 def ref_wann_step(task, adversary, weighter, weight_scale, X, y, is_target,
-                  rng, total_rows):
+                  total_rows):
     """The per-layer descent-ascent step, adversary gradient negated last."""
     scale = total_rows / len(X)
-    g, cache_q = weighter.forward_cache(X, True, rng)
+    g, cache_q = weighter.forward_cache(X)
     w = weight_scale * g
-    out_h, cache_h = task.forward_cache(X, True, rng)
-    out_hp, cache_hp = adversary.forward_cache(X, True, rng)
+    out_h, cache_h = task.forward_cache(X)
+    out_hp, cache_hp = adversary.forward_cache(X)
     err_h, err_hp = out_h - y, out_hp - y
     sq_h, sq_hp = err_h * err_h, err_hp * err_hp
     n_b = int(is_target.sum())
@@ -154,8 +145,6 @@ def identity_hidden_model(d, seed):
 
 
 MODELS = {
-    "dropout-task": lambda d: build_wann_model(d, (16, 8), clip=1.0,
-                                               dropout=0.3, seed=1),
     "identity-hidden": lambda d: identity_hidden_model(d, 2),
     "hidden-100-50": lambda d: build_wann_model(d, (100, 50), clip=1.0, seed=3),
 }
@@ -171,28 +160,27 @@ def test_wann_steps_match_reference(kind):
     nets = (model.task, model.adversary, model.weighter)
     refs = [RefNet(net) for net in nets]
     starts = [net.params.copy() for net in nets]
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
     order = np.random.default_rng(6).permutation(k)
     # full batches, a ragged last batch of 7 and a single row, twice over
     batches = [order[s:s + batch] for s in range(0, k, batch)] + [order[:1]]
     for idx in batches * 2:
         args = (train.X[idx], train.y[idx], train.is_target[idx])
-        wann_step(model, *args, rng=rng, total_rows=k)
-        ref_wann_step(*refs, model.weight_scale, *args, ref_rng, k)
+        wann_step(model, *args, total_rows=k)
+        ref_wann_step(*refs, model.weight_scale, *args, k)
     for net, ref, start in zip(nets, refs, starts):
         assert not np.array_equal(net.params, start)
         assert np.array_equal(net.params, ref.params())
 
 
-@pytest.mark.parametrize("dropout,hidden,batch", [
-    (0.0, (100, 50), 7), (0.4, (6, 4), 5), (0.0, (), 1),
+@pytest.mark.parametrize("w_low,hidden,batch", [
+    (0.0, (100, 50), 7), (-0.2, (6, 4), 5), (0.0, (), 1),
 ])
-def test_fit_regression_matches_reference(dropout, hidden, batch):
+def test_fit_regression_matches_reference(w_low, hidden, batch):
+    # w_low < 0 gives some rows signed loss weights
     rng = np.random.default_rng(7)
     X, y = rng.normal(size=(17, 4)), rng.normal(size=17)
-    w = rng.uniform(0.0, 0.2, size=17)
-    net = build_mlp(4, hidden, clip=0.5, dropout=dropout,
-                    rng=np.random.default_rng(8))
+    w = rng.uniform(w_low, 0.2, size=17)
+    net = build_mlp(4, hidden, clip=0.5, rng=np.random.default_rng(8))
     ref = RefNet(net, lr=0.01)
     config = FitConfig(epochs=3, batch_size=batch, lr=0.01, seed=9)
     fit_regression(net, X, y, w, config)
@@ -203,8 +191,7 @@ def test_fit_regression_matches_reference(dropout, hidden, batch):
         for start in range(0, len(X), batch):
             idx = order[start:start + batch]
             scale = len(X) / len(idx)
-            ref.adam_step(*ref.mse_grad(X[idx], y[idx], scale * w[idx],
-                                        train=True, rng=ref_rng))
+            ref.adam_step(*ref.mse_grad(X[idx], y[idx], scale * w[idx]))
     assert np.array_equal(net.params, ref.params())
 
 
@@ -227,8 +214,9 @@ def test_ascend_matches_reference(sign):
         order = ref_rng.permutation(19)
         for start in range(0, 19, 5):
             idx = order[start:start + 5]
+            # the source weights are scaled by total/batch rows
             n_b = int(flags[idx].sum())
-            u = -w_full[idx]
+            u = -(19 / len(idx)) * w_full[idx]
             if n_b:
                 u = u + flags[idx] / n_b
             d_w, d_b = ref.mse_grad(X[idx], y[idx], sign * u)
@@ -242,9 +230,9 @@ def test_eval_forward_matches_reference_and_is_caller_owned():
     ref = RefNet(net)
     X = np.random.default_rng(14).normal(size=(40, 6))
     first = forward(net, X)
-    assert np.array_equal(first, ref.forward_cache(X, False, None)[0])
+    assert np.array_equal(first, ref.forward_cache(X)[0])
     forward(net, X[:3] + 1.0)
-    assert np.array_equal(first, ref.forward_cache(X, False, None)[0])
+    assert np.array_equal(first, ref.forward_cache(X)[0])
 
 
 class TestFlatStorage:
@@ -315,7 +303,7 @@ def test_steady_state_step_and_eval_allocate_little(dim):
     X_eval = rng.normal(size=(1000, dim))
 
     def step():
-        wann_step(model, X, y, is_target, rng=rng, total_rows=1000)
+        wann_step(model, X, y, is_target, total_rows=1000)
 
     for _ in range(2):
         step()

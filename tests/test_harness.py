@@ -198,10 +198,9 @@ class TestMethodSpec:
             MethodSpec("wann", {"epoch": 5})
         assert "'epochs'" in str(err.value)  # the accepted keys are listed
 
-    def test_accepted_keys_are_the_documented_fifteen(self):
+    def test_accepted_keys_are_the_documented_twelve(self):
         assert PARAM_KEYS == {
-            "hidden", "clip", "dropout", "epochs", "batch_size", "lr",
-            "pretrain_epochs", "stratify_batches", "clip_weighter",
+            "hidden", "clip", "epochs", "batch_size", "lr", "pretrain_epochs",
             "kernel_bandwidth", "B", "eps", "n_centers", "n_iterations",
             "kind"}
 

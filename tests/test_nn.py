@@ -7,10 +7,9 @@ from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, GradBundle,
                      forward, weighted_mse_grad)
 
 
-def random_net(rng, n_in=3, hidden=(6, 4), clip=None, output="identity",
-               dropout=0.0):
+def random_net(rng, n_in=3, hidden=(6, 4), clip=None, output="identity"):
     return build_mlp(n_in, hidden, clip=clip, output_activation=output,
-                     dropout=dropout, rng=rng)
+                     rng=rng)
 
 
 def flatten_params(net):
@@ -67,12 +66,6 @@ class TestForward:
         with pytest.raises(ValueError, match="columns"):
             forward(net, np.ones((2, 5)))
 
-    def test_eval_mode_deterministic_with_dropout_layer(self):
-        rng = np.random.default_rng(2)
-        net = random_net(rng, dropout=0.5)
-        X = rng.normal(size=(7, 3))
-        np.testing.assert_array_equal(forward(net, X), forward(net, X))
-
 
 class TestWeightedMseGrad:
     def test_perfect_fit_zero_loss_zero_grads(self):
@@ -110,21 +103,6 @@ class TestWeightedMseGrad:
         assert_grads_match_fd(net, grads,
                               lambda n: weighted_mse_grad(n, X, y, w)[0])
 
-    def test_dropout_masks_shared_between_loss_and_grad(self):
-        rng = np.random.default_rng(6)
-        net = random_net(rng, dropout=0.4)
-        X = rng.normal(size=(5, 3))
-        y = rng.normal(size=5)
-        w = rng.uniform(0.1, 1.0, size=5)
-
-        def loss_fn(n):
-            return weighted_mse_grad(n, X, y, w, train=True,
-                                     rng=np.random.default_rng(99))[0]
-
-        _, grads = weighted_mse_grad(net, X, y, w, train=True,
-                                     rng=np.random.default_rng(99))
-        assert_grads_match_fd(net, grads, loss_fn)
-
     def test_loss_linear_in_weights(self):
         rng = np.random.default_rng(7)
         net = random_net(rng)
@@ -158,7 +136,7 @@ def assert_grads_match_fd(net, grads, loss_fn, step=1e-5, rtol=1e-4):
 
 def weighted_output_grad(net, X, v):
     """sum_i v_i * net(x_i) and its gradient, the weighter update's form."""
-    out, caches = _forward_cache(net, X, False, None)
+    out, caches = _forward_cache(net, X)
     value = float(np.dot(v, out))
     return value, _backward(net, caches, v)
 

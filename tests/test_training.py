@@ -5,9 +5,9 @@ from hypothesis import example, given, strategies as st
 from wann.data import TrainingSet, LabeledSample, labeling_fn
 from wann.nn import (AdamState, DenseLayer, Mlp, TrainingDivergedError,
                      forward)
-from wann.training import (WannConfig, WannModel, _stratified_order,
-                           build_wann_model, fit_wann, predict,
-                           pretrain_weighter, training_weights, wann_step)
+from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
+                           predict, pretrain_weighter, training_weights,
+                           wann_step)
 
 
 def small_train(k=60, d=3, n_target=15, seed=0):
@@ -49,8 +49,6 @@ class TestBuildModel:
     def test_weighter_clip_defaults_to_task_clip(self):
         model = build_wann_model(4, (8,), clip=0.7, seed=3)
         assert model.weighter.clip == 0.7
-        model2 = build_wann_model(4, (8,), clip=0.7, clip_weighter=2.0, seed=3)
-        assert model2.weighter.clip == 2.0
 
 
 class TestPretrainWeighter:
@@ -308,29 +306,6 @@ class TestFitWann:
                                np.zeros(len(train), dtype=bool))
         with pytest.raises(ValueError, match="source and target"):
             fit_wann(model, only_src, config)
-
-    def test_stratified_batches_cover_every_batch(self):
-        rng = np.random.default_rng(18)
-        flags = np.zeros(100, dtype=bool)
-        flags[rng.choice(100, 20, replace=False)] = True
-        order = _stratified_order(rng, flags, batch_size=16)
-        assert sorted(order) == list(range(100))
-        for start in range(0, 100, 16):
-            batch = order[start:start + 16]
-            assert flags[batch].any()
-
-    def test_stratified_needs_enough_targets(self):
-        rng = np.random.default_rng(19)
-        flags = np.zeros(100, dtype=bool)
-        flags[:3] = True
-        with pytest.raises(ValueError, match="stratified"):
-            _stratified_order(rng, flags, batch_size=10)
-
-    def test_stratified_fit_runs(self):
-        model, train, config = self.make_ready(seed=20)
-        config.stratify_batches = True
-        config.epochs = 2
-        fit_wann(model, train, config)
 
 
 class TestTrainingWeights:
