@@ -8,6 +8,7 @@ Both are pure functions of their seed.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,13 +191,93 @@ class CsvSchema:
     domain: str = "source"
 
 
-def _parse_cell(raw: str, row: int, col: str) -> float:
+_DOMAIN_FLAGS = {"source": 0.0, "target": 1.0}
+
+
+def _domain_flag(tag: str) -> float:
     try:
-        return float(raw)
+        return _DOMAIN_FLAGS[tag.strip().lower()]
+    except KeyError:
+        raise ValueError(f"bad domain tag {tag!r}") from None
+
+
+def _is_number(cell: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``cell`` as a float64.
+
+    That is ``float`` on the cell stripped of whitespace, except that
+    non-ASCII characters and ``_`` digit groups are refused.
+    """
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return False
+    try:
+        float(cell)
     except ValueError:
-        raise CsvFormatError(
-            f"non-numeric value {raw!r} at row {row}, column {col!r}"
-        ) from None
+        return False
+    return True
+
+
+class _DataLines:
+    """The lines after the header, noting any blank one that
+    ``np.loadtxt`` would skip without a word."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.blank = False
+
+    def __iter__(self):
+        for line in self._fh:
+            if not line.strip():
+                self.blank = True
+            yield line
+
+
+def _raise_first_error(path: Path, header: list[str], feature_cols: list[str],
+                       schema: CsvSchema, cause: str):
+    """Re-read ``path`` record by record and raise for its first fault.
+
+    Only called once the fast parse has failed; it never returns data.
+    Faults are checked in file order and, within a row, width first,
+    then features, label and domain tag.
+    """
+    index = {c: k for k, c in enumerate(header)}
+    n_rows = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_num, record in enumerate(reader, start=2):
+            n_rows += 1
+            if len(record) != len(header):
+                raise CsvFormatError(
+                    f"{path}: row {row_num} has {len(record)} cells, "
+                    f"expected {len(header)}"
+                )
+            for col in (*feature_cols, schema.label_col):
+                raw = record[index[col]]
+                if not _is_number(raw):
+                    raise CsvFormatError(
+                        f"{path}: non-numeric value {raw!r} at row "
+                        f"{row_num}, column {col!r}"
+                    )
+            if schema.domain_col is not None:
+                raw = record[index[schema.domain_col]]
+                if raw.strip().lower() not in _DOMAIN_FLAGS:
+                    raise CsvFormatError(
+                        f"{path}: row {row_num}: domain must be 'source' or "
+                        f"'target', got {raw!r}"
+                    )
+    if n_rows == 0:
+        raise CsvFormatError(f"{path}: no data rows")
+    raise CsvFormatError(f"{path}: {cause}")
+
+
+def _repeated(names: list[str]) -> str | None:
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
 def load_csv(path: str | Path, schema: CsvSchema | None = None
@@ -205,15 +286,28 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None
 
     Returns a TrainingSet when the schema names a domain column, a
     LabeledSample otherwise.
+
+    The accepted format: UTF-8 text, with or without a byte-order mark;
+    a comma delimiter; one header row of distinct column names; then
+    one row per sample with one cell per header column, optionally
+    quoted with ``"``. There are no comment lines and no blank lines.
+    Numeric cells are what ``float`` reads, written in ASCII and
+    without ``_`` digit groups, optionally padded with whitespace.
+    Domain cells read ``source`` or ``target`` in any case, optionally
+    padded. Every fault raises a CsvFormatError that starts with the
+    path and names the first bad row and column when there is one.
     """
     schema = schema or CsvSchema()
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file") from None
+        repeated = _repeated(header)
+        if repeated is not None:
+            raise CsvFormatError(f"{path}: repeated column {repeated!r}")
         needed = [schema.label_col]
         if schema.domain_col is not None:
             needed.append(schema.domain_col)
@@ -228,57 +322,71 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None
                             if c != schema.label_col and c != schema.domain_col]
         if not feature_cols:
             raise CsvFormatError(f"{path}: no feature columns")
-        index = {c: header.index(c) for c in header}
 
-        rows, labels, flags = [], [], []
-        for row_num, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {row_num} has {len(record)} cells, "
-                    f"expected {len(header)}"
-                )
-            rows.append([_parse_cell(record[index[c]], row_num, c)
-                         for c in feature_cols])
-            labels.append(_parse_cell(record[index[schema.label_col]],
-                                      row_num, schema.label_col))
-            if schema.domain_col is not None:
-                tag = record[index[schema.domain_col]].strip().lower()
-                if tag not in ("source", "target"):
-                    raise CsvFormatError(
-                        f"{path}: row {row_num}: domain must be 'source' or "
-                        f"'target', got {record[index[schema.domain_col]]!r}"
-                    )
-                flags.append(tag == "target")
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    X = np.array(rows, dtype=np.float64)
-    y = np.array(labels, dtype=np.float64)
+        converters = None
+        if schema.domain_col is not None:
+            converters = {header.index(schema.domain_col): _domain_flag}
+        lines = _DataLines(fh)
+        cause = "blank line"
+        with warnings.catch_warnings():
+            # a file without rows only warns; the shape check catches it
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                table = np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                                   quotechar='"', comments=None,
+                                   converters=converters, ndmin=2)
+            except ValueError as exc:
+                table, cause = None, str(exc)
+    if (table is None or lines.blank or len(table) == 0
+            or table.shape[1] != len(header)):
+        _raise_first_error(path, header, feature_cols, schema, cause)
+    X = table.take([header.index(c) for c in feature_cols], axis=1)
+    y = table[:, header.index(schema.label_col)].copy()
     if schema.domain_col is not None:
-        return TrainingSet(X, y, np.array(flags, dtype=bool))
+        flags = table[:, header.index(schema.domain_col)] == 1.0
+        return TrainingSet(X, y, flags)
     return LabeledSample(X, y, schema.domain)
+
+
+# save_csv formats and writes this many cells (at least one row) at a
+# time, so its memory stays bounded whatever the size of the table
+_SAVE_CHUNK_CELLS = 4096
 
 
 def save_csv(path: str | Path, data: LabeledSample | TrainingSet,
              schema: CsvSchema | None = None) -> None:
-    """Write a sample as CSV with full float64 round-trip precision."""
+    """Write a sample as CSV with full float64 round-trip precision.
+
+    Column names must be distinct: a feature name may not repeat or equal
+    the label or domain column name.
+    """
     schema = schema or CsvSchema()
+    d = data.X.shape[1]
     feature_cols = schema.feature_cols
     if feature_cols is None:
-        feature_cols = [f"x{k}" for k in range(data.X.shape[1])]
-    elif len(feature_cols) != data.X.shape[1]:
+        feature_cols = [f"x{k}" for k in range(d)]
+    elif len(feature_cols) != d:
         raise ValueError(f"{len(feature_cols)} feature names for "
-                         f"{data.X.shape[1]} columns")
+                         f"{d} columns")
     header = list(feature_cols) + [schema.label_col]
     is_training_set = isinstance(data, TrainingSet)
     if is_training_set:
         domain_col = schema.domain_col or "domain"
         header.append(domain_col)
+    repeated = _repeated(header)
+    if repeated is not None:
+        raise ValueError(f"column name {repeated!r} appears more than once")
+    row_format = ",".join(["%.17g"] * (d + 1))
+    chunk = max(1, _SAVE_CHUNK_CELLS // (d + 1))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(data)):
-            row = [format(v, ".17g") for v in data.X[k]]
-            row.append(format(data.y[k], ".17g"))
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(data), chunk):
+            rows = slice(start, start + chunk)
+            cells = np.column_stack((data.X[rows], data.y[rows])).tolist()
             if is_training_set:
-                row.append("target" if data.is_target[k] else "source")
-            writer.writerow(row)
+                ends = [",target\r\n" if t else ",source\r\n"
+                        for t in data.is_target[rows]]
+            else:
+                ends = ["\r\n"] * len(cells)
+            fh.write("".join([row_format % tuple(row) + end
+                              for row, end in zip(cells, ends)]))

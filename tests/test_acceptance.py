@@ -9,9 +9,11 @@ clip 1, Adam lr 0.001, 300 epochs, batch 128.
 import filecmp
 import functools
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,9 +293,13 @@ def test_criterion_09_cli_determinism(tmp_path):
             "--dims", "8", "--repeats", "2", "--m", "60",
             "--epochs", "4", "--batch-size", "16", "--hidden", "10",
             "--pretrain-epochs", "4", "--seed", "17"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     for name in ("one", "two"):
         proc = subprocess.run(args + ["--out", str(tmp_path / name)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
     base = tmp_path / "one"
     files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +11,13 @@ from wann.data import CsvSchema, gen_uniform_shift_1d, save_csv
 
 FAST_NET = ["--hidden", "6", "--epochs", "3", "--batch-size", "16",
             "--pretrain-epochs", "3"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "wann.cli", *args],
