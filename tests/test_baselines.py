@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wann.baselines import (KliepConfig, KmmConfig, TradaboostConfig,
                             _gaussian_kernel, _project_box_band,
                             kliep_weights, kmm_weights,
                             median_pairwise_distance, target_only_fit,
                             tradaboost_r2_fit, uniform_fit)
-from wann.data import TrainingSet
+from wann.data import MixtureShiftSpec, TrainingSet, gen_mixture_shift
 from wann.nn import ArchSpec, FitConfig, fit_regression, forward
 
 
@@ -85,40 +87,27 @@ class TestKmm:
 
         assert objective(w) <= objective(np.ones(10)) + 1e-10
 
-    @pytest.mark.parametrize("tol", [KmmConfig.tol, 1e-6])
-    def test_matches_loop_that_recomputes_the_kernel_product(self, tol):
-        # the solver once evaluated w @ K @ w for the objective and then
-        # K @ w again for the next gradient; reusing one K @ w per
-        # iteration must leave every bit of the weights unchanged, both
-        # when the loop runs out of iterations and when it meets tol
-        rng = np.random.default_rng(9)
-        m, n = 60, 20
-        Xs, Xt = rng.normal(size=(m, 3)), rng.normal(0.5, 1.0, size=(n, 3))
-        config = KmmConfig(tol=tol)
-        sigma = median_pairwise_distance(Xs, Xt)
-        eps = (math.sqrt(m) - 1.0) / math.sqrt(m)
-        K = _gaussian_kernel(Xs, Xs, sigma)
-        K = 0.5 * (K + K.T) + 1e-8 * np.eye(m)
-        kappa = _gaussian_kernel(Xs, Xt, sigma).sum(axis=1)
-        step = (m * m) / (2.0 * max(np.linalg.eigvalsh(K)[-1], 1e-12))
-        lo, hi = m * (1.0 - eps), m * (1.0 + eps)
+    @pytest.mark.parametrize("draw", ["gaussian-60x20", "mixture-800x200"])
+    def test_converges_past_the_fixed_step_loop(self, draw):
+        # the solver once ran fixed-step projected gradient for all of
+        # max_iter; the accelerated loop must meet tol and end no worse
+        if draw == "gaussian-60x20":
+            rng = np.random.default_rng(9)
+            Xs = rng.normal(size=(60, 3))
+            Xt = rng.normal(0.5, 1.0, size=(20, 3))
+        else:
+            train = gen_mixture_shift(MixtureShiftSpec(
+                dim=64, m=1000, target_fraction=0.2, seed=7)).train
+            Xs, Xt = train.source_rows().X, train.target_rows().X
+        config = KmmConfig()
+        problem = KmmProblem(Xs, Xt, config)
+        w_pg = problem.project(np.ones(problem.m))
+        for _ in range(config.max_iter):
+            w_pg = problem.project(w_pg - problem.step * problem.gradient(w_pg))
 
-        def objective(w):
-            return float(w @ K @ w / (m * m) - 2.0 * (w @ kappa) / (m * n))
-
-        w = _project_box_band(np.ones(m), config.B, lo, hi)
-        obj = objective(w)
-        for iters in range(1, config.max_iter + 1):
-            grad = 2.0 * (K @ w) / (m * m) - 2.0 * kappa / (m * n)
-            w_new = _project_box_band(w - step * grad, config.B, lo, hi)
-            obj_new = objective(w_new)
-            w = w_new
-            if obj - obj_new < config.tol:
-                break
-            obj = obj_new
-        assert (iters < config.max_iter) == (tol > KmmConfig.tol)
-        assert np.array_equal(kmm_weights(Xs, Xt, config),
-                              np.clip(w, 0.0, config.B))
+        w = kmm_weights(Xs, Xt, config)
+        assert problem.residual(w) <= config.tol
+        assert problem.objective(w) <= problem.objective(w_pg)
 
     def test_feasibility_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -143,6 +132,135 @@ class TestKmm:
     def test_rejects_empty_sides(self):
         with pytest.raises(ValueError, match="at least one"):
             kmm_weights(np.zeros((0, 1)), np.ones((2, 1)))
+
+
+class KmmProblem:
+    """The KMM objective, gradient and projection, restated densely."""
+
+    def __init__(self, Xs, Xt, config):
+        m, n = len(Xs), len(Xt)
+        sigma = config.kernel_bandwidth or median_pairwise_distance(Xs, Xt)
+        eps = config.eps
+        if eps is None:
+            eps = max((math.sqrt(m) - 1) / math.sqrt(m), 1e-12)
+        K = _gaussian_kernel(Xs, Xs, sigma)
+        self.K = 0.5 * (K + K.T) + 1e-8 * np.eye(m)
+        self.kappa = _gaussian_kernel(Xs, Xt, sigma).sum(axis=1)
+        self.step = m * m / (2.0 * max(np.linalg.eigvalsh(self.K)[-1], 1e-12))
+        self.m, self.n, self.B = m, n, config.B
+        self.lo, self.hi = m * (1 - eps), m * (1 + eps)
+
+    def objective(self, w):
+        m, n = self.m, self.n
+        return float(w @ self.K @ w / (m * m) - 2 * (w @ self.kappa) / (m * n))
+
+    def gradient(self, w):
+        m, n = self.m, self.n
+        return 2 * (self.K @ w) / (m * m) - 2 * self.kappa / (m * n)
+
+    def project(self, v):
+        return _project_box_band(v, self.B, self.lo, self.hi)
+
+    def residual(self, w):
+        """max|w - P(w - step * grad f(w))|, zero exactly at the optimum."""
+        return float(np.abs(w - self.project(w - self.step * self.gradient(w)))
+                     .max())
+
+
+@given(m=st.integers(1, 30), n=st.integers(1, 30), dim=st.integers(1, 4),
+       shift=st.floats(-2.0, 2.0), B=st.floats(1.0, 1000.0),
+       eps=st.one_of(st.none(), st.floats(0.01, 0.99)),
+       max_iter=st.integers(1, 2000), seed=st.integers(0, 2**16))
+def test_kmm_weights_are_feasible_and_no_worse_than_the_start(
+        m, n, dim, shift, B, eps, max_iter, seed):
+    rng = np.random.default_rng(seed)
+    Xs = rng.normal(size=(m, dim))
+    Xt = rng.normal(shift, 1.0, size=(n, dim))
+    config = KmmConfig(B=B, eps=eps, max_iter=max_iter)
+    problem = KmmProblem(Xs, Xt, config)
+    w = kmm_weights(Xs, Xt, config)
+
+    assert np.isfinite(w).all()
+    assert (w >= 0.0).all() and (w <= B).all()
+    assert problem.lo - 1e-9 * m <= w.sum() <= problem.hi + 1e-9 * m
+    # the test's dense K @ w rounds apart from the solver's sparse one
+    start = problem.project(np.ones(m))
+    assert problem.objective(w) <= problem.objective(start) + 1e-12
+    if problem.residual(w) > config.tol:
+        # the loop ran out of iterations: one that stopped on its own
+        # returns the same weights however many more it is allowed
+        longer = kmm_weights(Xs, Xt, replace(config, max_iter=2 * max_iter))
+        assert not np.array_equal(longer, w)
+
+
+def project_box_band_by_bisection(v, B, lo, hi):
+    """The earlier projection: 200 bisection steps on the shift."""
+    w = np.clip(v, 0.0, B)
+    total = w.sum()
+    if lo <= total <= hi:
+        return w
+    want = hi if total > hi else lo
+    left, right = float(v.min() - B - 1.0), float(v.max() + 1.0)
+    for _ in range(200):
+        mid = 0.5 * (left + right)
+        if np.clip(v - mid, 0.0, B).sum() > want:
+            left = mid
+        else:
+            right = mid
+    return np.clip(v - 0.5 * (left + right), 0.0, B)
+
+
+class TestProjectBoxBand:
+    @pytest.mark.parametrize("side", ["above", "below"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_bisection_where_the_band_binds(self, side, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 50))
+        B = float(rng.choice([1.5, 4.0, 1000.0]))
+        eps = 1e-3
+        lo, hi = m * (1 - eps), m * (1 + eps)
+        v = rng.normal(3.0 if side == "above" else -1.0, 2.0, size=m)
+        # ties between breakpoints
+        v[: m // 4] = v[0]
+        total = np.clip(v, 0.0, B).sum()
+        assert total > hi if side == "above" else total < lo
+        w = _project_box_band(v, B, lo, hi)
+        np.testing.assert_allclose(
+            w, project_box_band_by_bisection(v, B, lo, hi), rtol=0, atol=1e-12)
+        assert lo - 1e-9 <= w.sum() <= hi + 1e-9
+
+    def test_rejects_infeasible_band(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            _project_box_band(np.ones(3), 1.0, 4.0, 5.0)
+
+
+def median_pairwise_distance_with_index_arrays(X, Y=None):
+    """The earlier median: a fancy index by np.triu_indices arrays."""
+    Z = X if Y is None else np.concatenate([X, Y])
+    sq = np.sum(Z * Z, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Z @ Z.T)
+    iu = np.triu_indices(len(Z), k=1)
+    dists = np.sqrt(np.maximum(d2[iu], 0.0))
+    med = float(np.median(dists)) if len(dists) else 1.0
+    return med if med > 0.0 else 1.0
+
+
+class TestMedianPairwiseDistance:
+    @pytest.mark.parametrize("X", [
+        *(np.random.default_rng(rows).normal(size=(rows, 3))
+          for rows in (1, 2, 3, 60)),
+        np.ones((4, 2)),  # every distance zero: the bandwidth falls back to 1
+    ], ids=["1-row", "2-row", "3-row", "60-row", "coincident"])
+    def test_bits_match_index_array_version(self, X):
+        assert (median_pairwise_distance(X)
+                == median_pairwise_distance_with_index_arrays(X))
+
+    def test_bits_match_index_array_version_on_mixture_draw(self):
+        train = gen_mixture_shift(MixtureShiftSpec(
+            dim=64, m=1000, target_fraction=0.2, seed=7)).train
+        Xs, Xt = train.source_rows().X, train.target_rows().X
+        assert (median_pairwise_distance(Xs, Xt)
+                == median_pairwise_distance_with_index_arrays(Xs, Xt))
 
 
 def kmm_grid_oracle(Xs, Xt, sigma, B, coarse=0.05, fine=0.005):
