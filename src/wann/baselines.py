@@ -4,9 +4,9 @@ Uniform weighting and target-only fits, kernel mean matching (KMM),
 KLIEP density-ratio weights and a reverse-boosting regression transfer
 ensemble. The two kernel methods are solved by first-order methods
 rather than an external QP solver: KMM by accelerated projected
-gradient with an exact projection, KLIEP by projected gradient ascent.
-Desk-scale sample sizes keep first-order methods adequate, and the test
-suite validates them against grid-search oracles.
+gradient, KLIEP by projected gradient ascent. Desk-scale sample sizes
+keep first-order methods adequate, and the test suite validates them
+against grid-search oracles.
 """
 
 from __future__ import annotations
@@ -102,10 +102,7 @@ def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
     """Euclidean projection onto {0 <= w <= B, lo <= sum(w) <= hi}.
 
     The projection is clip(v - lam, 0, B) where lam shifts the sum into
-    the band. That sum is piecewise linear and non-increasing in lam,
-    with breakpoints at v - B and v: sorting them brackets lam between
-    two breakpoints, and the coordinates strictly inside their box there
-    give lam in closed form.
+    the band; the sum is monotone in lam, so bisection solves it.
     """
     m = len(v)
     if m * B < lo:
@@ -115,22 +112,18 @@ def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
     if lo <= total <= hi:
         return w
 
+    def shifted_sum(lam: float) -> float:
+        return float(np.clip(v - lam, 0.0, B).sum())
+
     want = hi if total > hi else lo
-    points = np.concatenate([v - B, v])
-    order = np.argsort(points)
-    points = points[order]
-    # a coordinate leaves B at its v - B and reaches 0 at its v
-    n_free = np.cumsum(np.where(order < m, 1, -1))
-    # the sum at each breakpoint, accumulated from the zero end so the
-    # values near the band carry no cancellation against m*B
-    sums = np.append(np.cumsum((n_free[:-1] * np.diff(points))[::-1])[::-1],
-                     0.0)
-    k = max(int(np.count_nonzero(sums > want)), 1)
-    shifted = v - 0.5 * (points[k - 1] + points[k])
-    free = (shifted > 0.0) & (shifted < B)
-    lam = ((v[free].sum() + B * np.count_nonzero(shifted >= B) - want)
-           / np.count_nonzero(free))
-    return np.clip(v - lam, 0.0, B)
+    left, right = float(v.min() - B - 1.0), float(v.max() + 1.0)
+    for _ in range(200):
+        mid = 0.5 * (left + right)
+        if shifted_sum(mid) > want:
+            left = mid
+        else:
+            right = mid
+    return np.clip(v - 0.5 * (left + right), 0.0, B)
 
 
 def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
@@ -140,9 +133,11 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
 
     Minimizes ||(1/m) sum_i w_i phi(x_i) - (1/n) sum_j phi(x'_j)||^2
     subject to 0 <= w <= B and |sum(w) - m| <= m*eps, by FISTA with a
-    fixed 1/L step, restarted whenever the objective rises. The returned
-    weights are the best iterate found; they meet ``config.tol`` unless
-    ``config.max_iter`` iterations ran first (see ``KmmConfig``).
+    fixed 1/L step, restarted whenever the objective rises. The loop
+    stops only when the weights meet ``config.tol`` or after
+    ``config.max_iter`` iterations (see ``KmmConfig``); the accepted
+    objectives do not rise, up to rounding, so the returned weights are
+    the best iterate found.
     """
     config = config or KmmConfig()
     source_X = np.asarray(source_X, dtype=np.float64)
@@ -179,8 +174,14 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
         support = np.flatnonzero(x)
         return x[support] @ K[support]
 
-    def objective(w: np.ndarray, Kw: np.ndarray) -> float:
-        return float(w @ Kw / (m * m) - 2.0 * (w @ kappa) / (m * n))
+    def rise(w_new: np.ndarray, Kw_new: np.ndarray, w: np.ndarray,
+             Kw: np.ndarray) -> float:
+        # f(w_new) - f(w) = d.K(w_new + w)/m^2 - 2 d.kappa/(m n) with
+        # d = w_new - w: its rounding scales with the step, not with f,
+        # so it keeps its sign where two evaluations of f would not
+        d = w_new - w
+        return float(d @ (Kw_new + Kw) / (m * m)
+                     - 2.0 * (d @ kappa) / (m * n))
 
     def gradient(Kw: np.ndarray) -> np.ndarray:
         return 2.0 * Kw / (m * m) - 2.0 * kappa / (m * n)
@@ -190,29 +191,25 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
 
     # FISTA (Beck & Teboulle 2009) with a restart whenever the objective
     # rises (O'Donoghue & Candes 2015): a rejected point sends the loop
-    # back to the last accepted iterate w with no momentum, so the
-    # accepted objectives never rise and w is the best point found. The
-    # extrapolated point's K @ y follows from the last two products.
+    # back to the last accepted iterate w with no momentum. A plain
+    # projected-gradient step from w (y is w) never raises the objective
+    # in exact arithmetic, so it is always taken and the loop ends only
+    # on tol or max_iter. The extrapolated point's K @ y follows from the
+    # last two products.
     w = project(np.ones(m))
     Kw = kernel_product(w)
-    obj = objective(w, Kw)
     y, Ky, t = w, Kw, 1.0
     for _ in range(config.max_iter):
         w_new = project(y - step * gradient(Ky))
         Kw_new = kernel_product(w_new)
-        obj_new = objective(w_new, Kw_new)
-        if obj_new > obj:
-            if y is w:
-                # a plain gradient step from w no longer descends: the
-                # rounding floor of the objective
-                break
+        if y is not w and rise(w_new, Kw_new, w, Kw) > 0.0:
             y, Ky, t = w, Kw, 1.0
             continue
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         y = w_new + beta * (w_new - w)
         Ky = Kw_new + beta * (Kw_new - Kw)
-        w, Kw, obj, t = w_new, Kw_new, obj_new, t_new
+        w, Kw, t = w_new, Kw_new, t_new
         if residual(w, Kw) <= config.tol:
             break
     if not np.isfinite(w).all():
