@@ -47,14 +47,31 @@ def target_only_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
     return net, trace
 
 
+# rows above which the median bandwidth is taken over a subsample, so its
+# peak memory, about 13 * MEDIAN_MAX_ROWS**2 bytes (the Gram matrix, the
+# upper-triangle mask and the distances), holds for any input
+MEDIAN_MAX_ROWS = 2000
+
+
 def median_pairwise_distance(X: np.ndarray, Y: np.ndarray | None = None
                              ) -> float:
-    """Median pairwise Euclidean distance, the default kernel bandwidth."""
+    """Median pairwise Euclidean distance, the default kernel bandwidth.
+
+    Above ``MEDIAN_MAX_ROWS`` combined rows the median is taken over a
+    fixed-seed subsample of that many rows.
+    """
     Z = X if Y is None else np.concatenate([X, Y])
+    if len(Z) > MEDIAN_MAX_ROWS:
+        Z = Z[np.random.default_rng(0).choice(len(Z), MEDIAN_MAX_ROWS,
+                                              replace=False)]
     sq = np.sum(Z * Z, axis=1)
     gram = Z @ Z.T
     gram *= -2.0
-    gram += sq[:, None] + sq[None, :]
+    # sq_i + sq_j is added a block of rows at a time, so no second
+    # Gram-sized temporary is made
+    for start in range(0, len(Z), 256):
+        block = gram[start:start + 256]
+        block += sq[start:start + 256, None] + sq[None, :]
     dists = gram[np.triu(np.ones(gram.shape, dtype=bool), k=1)]
     np.maximum(dists, 0.0, out=dists)
     np.sqrt(dists, out=dists)
@@ -69,6 +86,28 @@ def _gaussian_kernel(X: np.ndarray, Y: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma * sigma))
 
 
+def _check_solver_settings(config: KmmConfig | KliepConfig) -> None:
+    sigma = config.kernel_bandwidth
+    if sigma is not None and not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError("kernel_bandwidth must be finite and positive")
+    if config.max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
+    if not config.tol >= 0.0:
+        raise ValueError("tol must be >= 0")
+
+
+def _as_samples(source_X: np.ndarray, target_X: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as float64 arrays, checked before any kernel is built."""
+    source_X = np.asarray(source_X, dtype=np.float64)
+    target_X = np.asarray(target_X, dtype=np.float64)
+    if len(source_X) < 1 or len(target_X) < 1:
+        raise ValueError("need at least one source and one target point")
+    if not (np.isfinite(source_X).all() and np.isfinite(target_X).all()):
+        raise ValueError("source and target rows must be finite")
+    return source_X, target_X
+
+
 @dataclass
 class KmmConfig:
     """Kernel mean matching parameters.
@@ -76,12 +115,16 @@ class KmmConfig:
     ``kernel_bandwidth=None`` uses the median pairwise distance of the
     combined sample; ``eps=None`` uses (sqrt(m)-1)/sqrt(m).
 
-    The solver stops once the projected-gradient residual
+    The solver takes the fixed step m^2/(2L), where L is a certified
+    upper bound on the largest eigenvalue of the source kernel matrix K,
+    from a few power steps, and checks K positive semidefinite by a
+    Cholesky factorization (see ``kmm_weights``); it computes no
+    eigenvalues. It stops once the projected-gradient residual
     max|w - P(w - step * grad f(w))| is at most ``tol``, where P is the
-    projection onto the constraints and step the fixed 1/L step. The
-    residual is in the units of the weights and is zero exactly at the
-    optimum; float64 rounding stalls it near 1e-8, so ``tol`` much below
-    that is not reached. ``max_iter`` only caps the iterations.
+    projection onto the constraints. The residual is in the units of the
+    weights and is zero exactly at the optimum; float64 rounding stalls
+    it near 1e-8, so ``tol`` much below that is not reached.
+    ``max_iter`` only caps the iterations.
     """
 
     kernel_bandwidth: float | None = None
@@ -91,10 +134,11 @@ class KmmConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.B <= 0:
+        if not self.B > 0:
             raise ValueError("B must be positive")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
+        _check_solver_settings(self)
 
 
 def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
@@ -126,6 +170,27 @@ def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
     return np.clip(v - 0.5 * (left + right), 0.0, B)
 
 
+def _perron_bounds(K: np.ndarray) -> tuple[float, float]:
+    """Bounds lo <= lambda_max(K) <= hi for an entrywise nonnegative K
+    with a positive diagonal.
+
+    For any positive x, min(Kx/x) <= lambda_max <= max(Kx/x)
+    (Collatz-Wielandt). Power steps from x = 1 tighten both bounds until
+    they agree to a relative 1e-3, for at most 100 steps; the bounds hold
+    after any number of steps.
+    """
+    x = np.ones(len(K))
+    for _ in range(100):
+        Kx = K @ x
+        ratios = Kx / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= 1e-3 * hi:
+            break
+        # Kx/hi <= x keeps the iterate bounded; the floor keeps it positive
+        np.maximum(Kx / hi, np.finfo(float).tiny, out=x)
+    return lo, hi
+
+
 def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
                 config: KmmConfig | None = None) -> np.ndarray:
     """Source weights matching the weighted source mean embedding to the
@@ -138,13 +203,20 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     ``config.max_iter`` iterations (see ``KmmConfig``); the accepted
     objectives do not rise, up to rounding, so the returned weights are
     the best iterate found.
+
+    L is the Collatz-Wielandt upper bound on the largest eigenvalue of
+    the jittered kernel matrix K, from a few power steps; no
+    eigendecomposition is made. K must be positive semidefinite: a
+    Cholesky factorization of K + tau*I, with tau = 1e-6 * max(lo, 1) and
+    lo the matching lower bound, raises ``ArithmeticError`` when it
+    fails.
     """
     config = config or KmmConfig()
-    source_X = np.asarray(source_X, dtype=np.float64)
-    target_X = np.asarray(target_X, dtype=np.float64)
+    source_X, target_X = _as_samples(source_X, target_X)
+    # with one contiguous X, X @ X.T is a symmetric rank-k update, so K
+    # comes out exactly symmetric
+    source_X = np.ascontiguousarray(source_X)
     m, n = len(source_X), len(target_X)
-    if m < 1 or n < 1:
-        raise ValueError("need at least one source and one target point")
     sigma = config.kernel_bandwidth
     if sigma is None:
         sigma = median_pairwise_distance(source_X, target_X)
@@ -154,25 +226,40 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
         eps = max(eps, 1e-12)
 
     K = _gaussian_kernel(source_X, source_X, sigma)
-    K = 0.5 * (K + K.T) + 1e-8 * np.eye(m)
+    diagonal = np.einsum("ii->i", K)  # a writable view
+    diagonal += 1e-8
     kappa = _gaussian_kernel(source_X, target_X, sigma).sum(axis=1)
 
-    eigvals = np.linalg.eigvalsh(K)
-    if eigvals[0] < -1e-6 * max(eigvals[-1], 1.0):
+    lam_lo, lam_hi = _perron_bounds(K)
+    saved = diagonal.copy()
+    diagonal += 1e-6 * max(lam_lo, 1.0)
+    try:
+        np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
         raise ArithmeticError("kernel matrix not positive semidefinite "
-                              "after jitter")
-    step = (m * m) / (2.0 * max(eigvals[-1], 1e-12))
+                              "after jitter") from None
+    finally:
+        diagonal[:] = saved
+    step = (m * m) / (2.0 * max(lam_hi, 1e-12))
 
     lo, hi = m * (1.0 - eps), m * (1.0 + eps)
+    kappa_term = 2.0 * kappa / (m * n)
 
     def project(v: np.ndarray) -> np.ndarray:
         return _project_box_band(v, config.B, lo, hi)
 
+    support = rows = None
+
     def kernel_product(x: np.ndarray) -> np.ndarray:
         # K is symmetric and projected points are sparse, so only the
-        # rows on the support of x enter K @ x
-        support = np.flatnonzero(x)
-        return x[support] @ K[support]
+        # rows on the support of x enter K @ x; the gathered rows are kept
+        # while the support holds, as it does on most iterations
+        nonlocal support, rows
+        new_support = np.flatnonzero(x)
+        if support is None or not np.array_equal(new_support, support):
+            rows = None  # drop the old block before gathering the new one
+            support, rows = new_support, K[new_support]
+        return x[support] @ rows
 
     def rise(w_new: np.ndarray, Kw_new: np.ndarray, w: np.ndarray,
              Kw: np.ndarray) -> float:
@@ -184,7 +271,7 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
                      - 2.0 * (d @ kappa) / (m * n))
 
     def gradient(Kw: np.ndarray) -> np.ndarray:
-        return 2.0 * Kw / (m * m) - 2.0 * kappa / (m * n)
+        return 2.0 * Kw / (m * m) - kappa_term
 
     def residual(w: np.ndarray, Kw: np.ndarray) -> float:
         return float(np.abs(w - project(w - step * gradient(Kw))).max())
@@ -230,6 +317,7 @@ class KliepConfig:
     def __post_init__(self):
         if self.n_centers < 1:
             raise ValueError("n_centers must be >= 1")
+        _check_solver_settings(self)
 
 
 def kliep_weights(source_X: np.ndarray, target_X: np.ndarray,
@@ -251,11 +339,8 @@ def kliep_weights(source_X: np.ndarray, target_X: np.ndarray,
     value after every accepted iteration.
     """
     config = config or KliepConfig()
-    source_X = np.asarray(source_X, dtype=np.float64)
-    target_X = np.asarray(target_X, dtype=np.float64)
+    source_X, target_X = _as_samples(source_X, target_X)
     m, n = len(source_X), len(target_X)
-    if m < 1 or n < 1:
-        raise ValueError("need at least one source and one target point")
     rng = np.random.default_rng(config.seed)
     n_centers = min(config.n_centers, n)
     centers = target_X[rng.choice(n, size=n_centers, replace=False)]

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wann.baselines import (KliepConfig, KmmConfig, TradaboostConfig,
-                            _gaussian_kernel, _project_box_band,
+from wann import baselines
+from wann.baselines import (MEDIAN_MAX_ROWS, KliepConfig, KmmConfig,
+                            TradaboostConfig, _gaussian_kernel,
+                            _perron_bounds, _project_box_band,
                             kliep_weights, kmm_weights,
                             median_pairwise_distance, target_only_fit,
                             tradaboost_r2_fit, uniform_fit)
@@ -134,6 +137,111 @@ class TestKmm:
         with pytest.raises(ValueError, match="at least one"):
             kmm_weights(np.zeros((0, 1)), np.ones((2, 1)))
 
+    def test_indefinite_kernel_is_rejected(self, monkeypatch):
+        # entrywise nonnegative, eigenvalues 3 and -1
+        monkeypatch.setattr(baselines, "_gaussian_kernel",
+                            lambda X, Y, sigma: np.array([[1.0, 2.0],
+                                                          [2.0, 1.0]]))
+        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+            kmm_weights(np.zeros((2, 1)), np.ones((2, 1)),
+                        KmmConfig(kernel_bandwidth=1.0))
+
+    @pytest.mark.parametrize("seed", [7, 101, 3])
+    def test_kernel_is_exactly_symmetric_on_mixture_draws(self, seed):
+        train = gen_mixture_shift(MixtureShiftSpec(
+            dim=64, m=1000, target_fraction=0.2, seed=seed)).train
+        Xs = train.source_rows().X
+        K = _gaussian_kernel(Xs, Xs, median_pairwise_distance(Xs))
+        assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_solver_kernel_is_exactly_symmetric(self, monkeypatch, layout):
+        # the solver reads K's rows as its columns; a strided 300-row
+        # sample gives an asymmetric X @ X.T unless it is made contiguous
+        wide = np.random.default_rng(10).normal(size=(300, 12))
+        Xs = {"C": np.ascontiguousarray(wide[:, :6]),
+              "F": np.asfortranarray(wide[:, :6]),
+              "strided": wide[:, ::2]}[layout]
+        square = []
+
+        def recording_kernel(X, Y, sigma):
+            K = _gaussian_kernel(X, Y, sigma)
+            if len(X) == len(Y):
+                square.append(K.copy())
+            return K
+
+        monkeypatch.setattr(baselines, "_gaussian_kernel", recording_kernel)
+        kmm_weights(Xs, wide[:50, 1::2], KmmConfig(max_iter=1))
+        assert len(square) == 1 and np.array_equal(square[0], square[0].T)
+
+    @pytest.mark.parametrize("draw", ["gaussian-60x20", "mixture-800x200"])
+    def test_reused_rows_match_the_gathering_loop(self, draw):
+        Xs, Xt = kmm_draw(draw)
+        np.testing.assert_array_equal(kmm_weights(Xs, Xt),
+                                      kmm_gathering_loop(Xs, Xt, KmmConfig()))
+
+
+def kmm_draw(draw):
+    """The two draws of test_converges_past_the_fixed_step_loop."""
+    if draw == "gaussian-60x20":
+        rng = np.random.default_rng(9)
+        return rng.normal(size=(60, 3)), rng.normal(0.5, 1.0, size=(20, 3))
+    train = gen_mixture_shift(MixtureShiftSpec(
+        dim=64, m=1000, target_fraction=0.2, seed=7)).train
+    return train.source_rows().X, train.target_rows().X
+
+
+def kmm_gathering_loop(Xs, Xt, config):
+    """The solver as it was before it kept the gathered kernel rows: the
+    same start, step and restarted FISTA loop, with K[support] gathered
+    again on every product."""
+    m, n = len(Xs), len(Xt)
+    sigma = config.kernel_bandwidth or median_pairwise_distance(Xs, Xt)
+    eps = config.eps
+    if eps is None:
+        eps = max((math.sqrt(m) - 1) / math.sqrt(m), 1e-12)
+    K = _gaussian_kernel(Xs, Xs, sigma)
+    K[np.diag_indices(m)] += 1e-8
+    kappa = _gaussian_kernel(Xs, Xt, sigma).sum(axis=1)
+    step = (m * m) / (2.0 * max(_perron_bounds(K)[1], 1e-12))
+    lo, hi = m * (1.0 - eps), m * (1.0 + eps)
+
+    def project(v):
+        return _project_box_band(v, config.B, lo, hi)
+
+    def kernel_product(x):
+        support = np.flatnonzero(x)
+        return x[support] @ K[support]
+
+    def rise(w_new, Kw_new, w, Kw):
+        d = w_new - w
+        return float(d @ (Kw_new + Kw) / (m * m)
+                     - 2.0 * (d @ kappa) / (m * n))
+
+    def gradient(Kw):
+        return 2.0 * Kw / (m * m) - 2.0 * kappa / (m * n)
+
+    def residual(w, Kw):
+        return float(np.abs(w - project(w - step * gradient(Kw))).max())
+
+    w = project(np.ones(m))
+    Kw = kernel_product(w)
+    y, Ky, t = w, Kw, 1.0
+    for _ in range(config.max_iter):
+        w_new = project(y - step * gradient(Ky))
+        Kw_new = kernel_product(w_new)
+        if y is not w and rise(w_new, Kw_new, w, Kw) > 0.0:
+            y, Ky, t = w, Kw, 1.0
+            continue
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        y = w_new + beta * (w_new - w)
+        Ky = Kw_new + beta * (Kw_new - Kw)
+        w, Kw, t = w_new, Kw_new, t_new
+        if residual(w, Kw) <= config.tol:
+            break
+    return w
+
 
 class KmmProblem:
     """The KMM objective, gradient and projection, restated densely."""
@@ -194,6 +302,67 @@ def test_kmm_weights_are_feasible_and_no_worse_than_the_start(
         assert not np.array_equal(longer, w)
 
 
+@given(m=st.integers(1, 30), dim=st.integers(1, 4),
+       scale=st.floats(0.1, 10.0), seed=st.integers(0, 2**16))
+def test_perron_bounds_bracket_the_largest_eigenvalue(m, dim, scale, seed):
+    X = np.random.default_rng(seed).normal(size=(m, dim))
+    K = _gaussian_kernel(X, X, scale * median_pairwise_distance(X))
+    K[np.diag_indices(m)] += 1e-8
+    lo, hi = _perron_bounds(K)
+    lam = np.linalg.eigvalsh(K)[-1]
+    # both sides round at a relative m * 2.2e-16 or so
+    assert lo <= lam * (1 + 1e-12) and lam * (1 - 1e-12) <= hi
+    assert hi - lo <= 1e-3 * hi or hi <= lam * (1 + 1e-3)
+
+
+def test_perron_bounds_stay_finite_where_the_iterate_underflows():
+    # the first entry shrinks 1e4-fold per power step and would reach 0
+    # long before the 100-step cap; the bounds never meet
+    assert _perron_bounds(np.diag([1.0, 1e4])) == (1.0, 1e4)
+
+
+BAD_SETTINGS = [
+    ("kernel_bandwidth", 0.0), ("kernel_bandwidth", -1.0),
+    ("kernel_bandwidth", math.nan), ("kernel_bandwidth", math.inf),
+    ("max_iter", -1), ("tol", -1.0), ("tol", math.nan),
+]
+
+
+class TestSettingsFailEarly:
+    @pytest.mark.parametrize("config_cls", [KmmConfig, KliepConfig])
+    @pytest.mark.parametrize("name,value", BAD_SETTINGS)
+    def test_bad_setting_raises(self, config_cls, name, value):
+        with pytest.raises(ValueError, match=name):
+            config_cls(**{name: value})
+
+    @pytest.mark.parametrize("config_cls", [KmmConfig, KliepConfig])
+    def test_edge_settings_accepted(self, config_cls):
+        config_cls(kernel_bandwidth=1e-300, max_iter=0, tol=0.0)
+        config_cls(tol=math.inf)
+
+    def test_nan_B_rejected(self):
+        with pytest.raises(ValueError, match="B must be positive"):
+            KmmConfig(B=math.nan)
+
+    @pytest.mark.parametrize("solver", [kmm_weights, kliep_weights])
+    @pytest.mark.parametrize("side,bad", [("source", math.nan),
+                                          ("source", math.inf),
+                                          ("target", math.nan),
+                                          ("target", -math.inf)])
+    def test_non_finite_row_raises_before_any_kernel(self, monkeypatch,
+                                                     solver, side, bad):
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(baselines, "_gaussian_kernel", no_kernel)
+        monkeypatch.setattr(baselines, "median_pairwise_distance", no_kernel)
+        rng = np.random.default_rng(11)
+        Xs, Xt = rng.normal(size=(6, 2)), rng.normal(size=(4, 2))
+        (Xs if side == "source" else Xt)[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solver(Xs, Xt)
+
+
 class TestProjectBoxBand:
     @pytest.mark.parametrize("side", ["above", "below"])
     @pytest.mark.parametrize("seed", range(5))
@@ -243,6 +412,31 @@ class TestMedianPairwiseDistance:
         Xs, Xt = train.source_rows().X, train.target_rows().X
         assert (median_pairwise_distance(Xs, Xt)
                 == median_pairwise_distance_with_index_arrays(Xs, Xt))
+
+    def test_large_input_stays_under_a_memory_bound(self):
+        # about 13 bytes per pair of rows: the Gram matrix, the mask and
+        # the distances; all 2 * MEDIAN_MAX_ROWS rows would need 4x more
+        X = np.random.default_rng(12).normal(size=(2 * MEDIAN_MAX_ROWS, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            median_pairwise_distance(X)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * MEDIAN_MAX_ROWS ** 2
+
+    def test_subsample_median_is_fixed_and_close_to_the_full_median(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(MEDIAN_MAX_ROWS, 3))
+        Y = rng.normal(0.5, 1.0, size=(100, 3))
+        Z = np.concatenate([X, Y])
+        full = np.median(np.concatenate(
+            [np.linalg.norm(Z[i + 1:] - Z[i], axis=1)
+             for i in range(len(Z) - 1)]))
+        med = median_pairwise_distance(X, Y)
+        assert med == median_pairwise_distance(X.copy(), Y.copy())
+        assert med == pytest.approx(full, rel=1e-2)
 
 
 def kmm_grid_oracle(Xs, Xt, sigma, B, coarse=0.05, fine=0.005):
