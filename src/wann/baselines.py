@@ -82,8 +82,15 @@ def median_pairwise_distance(X: np.ndarray, Y: np.ndarray | None = None
 def _gaussian_kernel(X: np.ndarray, Y: np.ndarray, sigma: float) -> np.ndarray:
     sq_x = np.sum(X * X, axis=1)[:, None]
     sq_y = np.sum(Y * Y, axis=1)[None, :]
-    d2 = np.maximum(sq_x + sq_y - 2.0 * (X @ Y.T), 0.0)
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+    # in place, so at most two kernel-sized arrays are alive at once
+    cross = X @ Y.T
+    cross *= 2.0
+    d2 = sq_x + sq_y
+    d2 -= cross
+    np.maximum(d2, 0.0, out=d2)
+    np.negative(d2, out=d2)
+    np.divide(d2, 2.0 * sigma * sigma, out=d2)
+    return np.exp(d2, out=d2)
 
 
 def _check_solver_settings(config: KmmConfig | KliepConfig) -> None:

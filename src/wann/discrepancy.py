@@ -77,8 +77,8 @@ def _ascend(net: Mlp, sign: float, src_x, src_y, src_w, tgt_x, tgt_y,
             idx = order[start:start + batch_size]
             v = gap_weights(w_full[idx], flags[idx], len(X) / len(idx))
             # ascend sign * d: descend on the loss with weights -sign * v
-            _, grads = weighted_mse_grad(net, X[idx], y[idx], -sign * v)
-            adam_step(net, grads, state)
+            weighted_mse_grad(net, X[idx], y[idx], -sign * v)
+            adam_step(net, state)
         d = _signed_gap(net, src_x, src_y, src_w, tgt_x, tgt_y)
         if not math.isfinite(d):
             raise TrainingDivergedError(epoch)

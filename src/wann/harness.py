@@ -14,7 +14,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,28 +21,15 @@ from . import baselines
 from .data import (LabeledSample, MixtureShiftSpec, TrainingSet,
                    gen_mixture_shift)
 from .nn import ArchSpec, FitConfig, fit_regression, forward
-from .results import RunResult, format_real, write_run_file
+from .results import (CURVE_METRIC, RunResult, compute_metrics, format_real,
+                      write_run_file)
 from .svgplot import Line, write_chart
 from .training import (WannConfig, build_wann_model, fit_wann,
                        pretrain_weighter)
 
 
-class Metrics(NamedTuple):
-    mse: float
-    mae: float
-
-
-def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> Metrics:
-    """Mean squared and mean absolute error."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if predictions.shape != labels.shape:
-        raise ValueError("predictions and labels must have the same shape")
-    if len(predictions) == 0:
-        raise ValueError("empty prediction vector")
-    err = predictions - labels
-    return Metrics(float(np.mean(err * err)), float(np.mean(np.abs(err))))
-
+# bins of each weight histogram written by emit_plot_data
+HISTOGRAM_BINS = 30
 
 # MethodSpec.params keys, grouped by the configuration each one sets;
 # an absent key keeps that configuration's default
@@ -297,8 +283,7 @@ def export_results(results: list[RunResult], out_dir: str | Path
     return table
 
 
-def emit_plot_data(results: list[RunResult], out_dir: str | Path,
-                   n_bins: int = 30) -> None:
+def emit_plot_data(results: list[RunResult], out_dir: str | Path) -> None:
     """Write per-run curve CSVs, weight histograms and the curve chart."""
     if not results:
         raise ValueError("no results to plot")
@@ -313,7 +298,7 @@ def emit_plot_data(results: list[RunResult], out_dir: str | Path,
         path = curves_dir / f"{result.method}_{result.seed}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", result.curve_metric])
+            writer.writerow(["epoch", CURVE_METRIC])
             for epoch, value in enumerate(result.curve):
                 writer.writerow([epoch, format_real(value)])
 
@@ -326,12 +311,12 @@ def emit_plot_data(results: list[RunResult], out_dir: str | Path,
         mean = w.mean()
         if mean > 0:
             w = w / mean
-        counts, edges = np.histogram(w, bins=n_bins)
+        counts, edges = np.histogram(w, bins=HISTOGRAM_BINS)
         path = weights_dir / f"{result.method}_{result.seed}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["bin_left", "bin_right", "count"])
-            for k in range(n_bins):
+            for k in range(HISTOGRAM_BINS):
                 writer.writerow([format_real(edges[k]),
                                  format_real(edges[k + 1]), int(counts[k])])
 
@@ -341,7 +326,6 @@ def emit_plot_data(results: list[RunResult], out_dir: str | Path,
             by_method.setdefault(result.method, []).append(result)
     if by_method:
         lines = []
-        metric = next(iter(by_method.values()))[0].curve_metric
         for method in sorted(by_method):
             curves = by_method[method]
             length = min(len(r.curve) for r in curves)
@@ -350,7 +334,7 @@ def emit_plot_data(results: list[RunResult], out_dir: str | Path,
                               ys=stack.mean(axis=0),
                               band=stack.std(axis=0)))
         write_chart(out / "plot.svg", lines=lines, title="",
-                    x_label="epoch", y_label=metric)
+                    x_label="epoch", y_label=CURVE_METRIC)
 
 
 def run_experiment(config: ExperimentConfig

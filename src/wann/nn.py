@@ -7,9 +7,9 @@ float64 and deterministic given a seed; no autodiff framework involved.
 Memory layout: an ``Mlp`` keeps every parameter in one contiguous
 vector, ``Mlp.params``, and each layer's ``weights`` and ``biases`` are
 views into it. The working memory of training belongs to the network
-(activation buffers that grow to the largest row count seen, and one
-flat gradient bundle) or to its ``AdamState`` (flat moments and two
-scratch vectors). Once the buffers have grown, a training step
+(activation buffers that grow to the largest row count seen, and the
+flat gradient ``Mlp.grad``) or to its ``AdamState`` (flat moments and
+two scratch vectors). Once the buffers have grown, a training step
 allocates only a few per-row vectors, so the allocator does not hand
 large blocks back and forth with the operating system on every batch.
 """
@@ -80,10 +80,6 @@ class DenseLayer:
     def n_outputs(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.biases.copy(),
-                          self.activation)
-
 
 @dataclass
 class Mlp:
@@ -96,7 +92,7 @@ class Mlp:
 
     The network takes over its layers' storage: ``params`` holds every
     parameter, layer by layer, and the layers' arrays become views
-    into it. ``grads`` is the network's own gradient bundle, which
+    into it. ``grad`` is the gradient, laid out like ``params``, which
     every gradient computation on the network overwrites.
     """
 
@@ -104,7 +100,10 @@ class Mlp:
     clip: float | None = None
     output_activation: str = "identity"
     params: np.ndarray = field(init=False, repr=False, compare=False)
-    grads: GradBundle = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+    # per-layer views into ``grad`` that the backward pass writes
+    _d_weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    _d_biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
     # grow-only per-layer output buffers; a pass on b rows uses the
     # leading b rows of each
     _activations: list[np.ndarray] = field(init=False, repr=False,
@@ -129,7 +128,9 @@ class Mlp:
             [layer.biases for layer in self.layers])
         for layer, w, b in zip(self.layers, weights, biases):
             layer.weights, layer.biases = w, b
-        self.grads = GradBundle.zeros_like(self)
+        self.grad, self._d_weights, self._d_biases = _pack(
+            [np.zeros_like(w) for w in weights],
+            [np.zeros_like(b) for b in biases])
         self._activations = [np.empty((0, layer.n_outputs))
                              for layer in self.layers]
 
@@ -139,7 +140,9 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         """Independent network with equal parameters and fresh buffers."""
-        return Mlp([layer.copy() for layer in self.layers],
+        # DenseLayer copies the arrays it is given
+        return Mlp([DenseLayer(layer.weights, layer.biases, layer.activation)
+                    for layer in self.layers],
                    self.clip, self.output_activation)
 
 
@@ -153,21 +156,17 @@ class ArchSpec:
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
 
-    def build(self, n_inputs: int, rng: np.random.Generator | None = None,
-              output_activation: str = "identity") -> "Mlp":
-        return build_mlp(n_inputs, self.hidden, clip=self.clip,
-                         output_activation=output_activation, rng=rng)
+    def build(self, n_inputs: int, *, rng: np.random.Generator) -> "Mlp":
+        return build_mlp(n_inputs, self.hidden, clip=self.clip, rng=rng)
 
 
 def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
               clip: float | None = None, output_activation: str = "identity",
-              rng: np.random.Generator | None = None) -> Mlp:
+              rng: np.random.Generator) -> Mlp:
     """Create an MLP with relu hidden layers and a scalar output.
 
-    Weights are Glorot-uniform, biases zero.
+    Weights are Glorot-uniform from ``rng``, biases zero.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     dims = [n_inputs, *hidden, 1]
     layers = []
     for k in range(len(dims) - 1):
@@ -221,16 +220,14 @@ def _forward_cache(net: Mlp, X: np.ndarray):
     return y, caches
 
 
-def _backward(net: Mlp, caches, d_out: np.ndarray) -> "GradBundle":
+def _backward(net: Mlp, caches, d_out: np.ndarray) -> None:
     """Reverse-mode parameter gradients from d(loss)/d(outputs).
 
     Consumes the forward caches: each layer's input gradient is written
     over that layer's input buffer, and a relu's derivative is read
     from its output (positive exactly where the pre-activation is).
-    Returns ``net.grads``, which stays valid until the next gradient
-    computation on the same net.
+    The gradient is written into ``net.grad``.
     """
-    grads = net.grads
     top = caches[-1][1]
     pos = top > 0.0 if net.layers[-1].activation == "relu" else None
     y = top[:, 0]
@@ -243,35 +240,12 @@ def _backward(net: Mlp, caches, d_out: np.ndarray) -> "GradBundle":
         a_in = caches[k][0]
         if pos is not None:
             delta *= pos
-        np.matmul(a_in.T, delta, out=grads.d_weights[k])
-        np.sum(delta, axis=0, out=grads.d_biases[k])
+        np.matmul(a_in.T, delta, out=net._d_weights[k])
+        np.sum(delta, axis=0, out=net._d_biases[k])
         if k > 0:
             pos = a_in > 0.0 if net.layers[k - 1].activation == "relu" else None
             np.matmul(delta, net.layers[k].weights.T, out=a_in)
             delta = a_in
-    return grads
-
-
-@dataclass
-class GradBundle:
-    """Per-parameter gradients, shape-congruent with an Mlp.
-
-    The arrays are copied into one flat vector, ``flat``, laid out like
-    ``Mlp.params``; ``d_weights`` and ``d_biases`` are views into it.
-    """
-
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.flat, self.d_weights, self.d_biases = _pack(self.d_weights,
-                                                         self.d_biases)
-
-    @classmethod
-    def zeros_like(cls, net: Mlp) -> "GradBundle":
-        return cls([np.zeros_like(layer.weights) for layer in net.layers],
-                   [np.zeros_like(layer.biases) for layer in net.layers])
 
 
 def forward(net: Mlp, X: np.ndarray) -> np.ndarray:
@@ -285,15 +259,14 @@ def forward(net: Mlp, X: np.ndarray) -> np.ndarray:
 
 
 def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray
-                      ) -> tuple[float, GradBundle]:
-    """Weighted sum of squared errors and its exact parameter gradient.
+                      ) -> float:
+    """Weighted sum of squared errors; its exact gradient goes into
+    ``net.grad``.
 
     loss = sum_i w_i * (net(x_i) - y_i)^2. Weights may be negative
     (signed per-example factors appear in adversarial updates). The
-    loss and gradient share one forward pass. The gradient is the net's
-    own bundle
-    (``net.grads``): it stays valid until the next gradient
-    computation on the same net.
+    loss and gradient share one forward pass; the gradient stays in
+    ``net.grad`` until the next gradient computation on the same net.
     """
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -305,8 +278,8 @@ def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray
     out, caches = _forward_cache(net, X)
     err = out - y
     loss = float(np.dot(w, err * err))
-    grads = _backward(net, caches, 2.0 * w * err)
-    return loss, grads
+    _backward(net, caches, 2.0 * w * err)
+    return loss
 
 
 @dataclass
@@ -350,8 +323,8 @@ class AdamState:
                    lr=lr)
 
 
-def adam_step(net: Mlp, grads: GradBundle, state: AdamState) -> None:
-    """One in-place Adam update with bias correction, then clipping.
+def adam_step(net: Mlp, state: AdamState) -> None:
+    """One in-place Adam update along ``net.grad``, then clipping.
 
     The update runs once over the flat vectors, in the state's scratch
     space, with the per-element arithmetic of the textbook form:
@@ -359,18 +332,10 @@ def adam_step(net: Mlp, grads: GradBundle, state: AdamState) -> None:
     params -= lr (m / c1) / (sqrt(v / c2) + eps), with b1, b2 and eps
     the module's ``BETA1``, ``BETA2`` and ``EPSILON``.
     """
-    if len(grads.d_weights) != len(net.layers):
-        raise ValueError("gradient bundle does not match network depth")
-    for layer, dw, db in zip(net.layers, grads.d_weights, grads.d_biases):
-        if dw.shape != layer.weights.shape or db.shape != layer.biases.shape:
-            raise ValueError("gradient shapes do not match network parameters")
-        if dw.base is not grads.flat or db.base is not grads.flat:
-            raise ValueError("gradient arrays must be views into the "
-                             "bundle's flat vector; update them in place")
     state.step_count += 1
     corr1 = 1.0 - BETA1 ** state.step_count
     corr2 = 1.0 - BETA2 ** state.step_count
-    g, m, v = grads.flat, state.m, state.v
+    g, m, v = net.grad, state.m, state.v
     s, t = state.scratch
     np.multiply(g, 1.0 - BETA1, out=s)
     m *= BETA1
@@ -437,11 +402,11 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
         for start in range(0, len(X), config.batch_size):
             idx = order[start:start + config.batch_size]
             scale = len(X) / len(idx)
-            batch_loss, grads = weighted_mse_grad(net, X[idx], y[idx],
-                                                  scale * w[idx])
+            batch_loss = weighted_mse_grad(net, X[idx], y[idx],
+                                           scale * w[idx])
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch)
-            adam_step(net, grads, state)
+            adam_step(net, state)
         if not np.isfinite(net.params).all():
             raise TrainingDivergedError(epoch)
         if validation is not None:

@@ -11,12 +11,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+
+# the quantity every run's curve records, once per epoch
+CURVE_METRIC = "validation_mse"
 
 
 def format_real(x: float) -> str:
     return format(float(x), ".17g")
+
+
+class Metrics(NamedTuple):
+    mse: float
+    mae: float
+
+
+def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> Metrics:
+    """Mean squared and mean absolute error."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if predictions.shape != labels.shape:
+        raise ValueError("predictions and labels must have the same shape")
+    if len(predictions) == 0:
+        raise ValueError("empty prediction vector")
+    err = predictions - labels
+    return Metrics(float(np.mean(err * err)), float(np.mean(np.abs(err))))
 
 
 @dataclass
@@ -26,7 +47,6 @@ class RunResult:
     method: str
     seed: int
     curve: list[float] = field(default_factory=list)
-    curve_metric: str = "validation_mse"
     final_mse: float | None = None
     final_mae: float | None = None
     weights: np.ndarray | None = None
@@ -39,7 +59,7 @@ def write_run_file(result: RunResult, path: str | Path) -> None:
     lines = [
         f"method = {result.method}",
         f"seed = {result.seed}",
-        f"curve_metric = {result.curve_metric}",
+        f"curve_metric = {CURVE_METRIC}",
         "curve = " + ",".join(format_real(v) for v in result.curve),
     ]
     if result.final_mse is not None:
@@ -84,7 +104,6 @@ def parse_run_file(path: str | Path) -> RunResult:
         method=fields["method"],
         seed=int(fields["seed"]),
         curve=_float_list(fields.get("curve", "")),
-        curve_metric=fields.get("curve_metric", "validation_mse"),
         final_mse=float(fields["final_mse"]) if "final_mse" in fields else None,
         final_mae=float(fields["final_mae"]) if "final_mae" in fields else None,
         weights=weights,

@@ -26,7 +26,7 @@ from .discrepancy import gap_weights
 from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
                  _backward, _forward_cache, adam_step, build_mlp,
                  fit_regression, forward)
-from .results import RunResult
+from .results import RunResult, compute_metrics
 
 
 @dataclass
@@ -176,17 +176,17 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
             and math.isfinite(l_tgt_hp)):
         raise TrainingDivergedError(epoch)
 
-    grads_h = _backward(model.task, cache_h, 2.0 * scale * w * err_h)
+    _backward(model.task, cache_h, 2.0 * scale * w * err_h)
     v = gap_weights(w, is_target, scale)
     # the adversary ascends: -2.0 * v * err_hp is the exact negation of
     # the gap gradient's seed 2.0 * v * err_hp
-    gap_grads = _backward(model.adversary, cache_hp, -2.0 * v * err_hp)
+    _backward(model.adversary, cache_hp, -2.0 * v * err_hp)
     factors = model.weight_scale * scale * (sq_h - sq_hp)
-    grads_q = _backward(model.weighter, cache_q, factors)
+    _backward(model.weighter, cache_q, factors)
 
-    adam_step(model.adversary, gap_grads, model.opt_adversary)
-    adam_step(model.task, grads_h, model.opt_task)
-    adam_step(model.weighter, grads_q, model.opt_weighter)
+    adam_step(model.adversary, model.opt_adversary)
+    adam_step(model.task, model.opt_task)
+    adam_step(model.weighter, model.opt_weighter)
     return StepDiagnostics(l_q_h, l_tgt_hp, l_q_hp)
 
 
@@ -221,9 +221,8 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
         # the last epoch's predictions already describe the final model
         if pred is None:
             pred = forward(model.task, validation.X)
-        err = pred - validation.y
-        result.final_mse = float(np.mean(err * err))
-        result.final_mae = float(np.mean(np.abs(err)))
+        result.final_mse, result.final_mae = compute_metrics(pred,
+                                                             validation.y)
         result.predictions = pred
     result.weights = model.instance_weights(train.X)
     return result

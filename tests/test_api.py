@@ -39,3 +39,44 @@ def test_readme_lists_the_accepted_method_params():
                        text)
     assert listed, "README.md does not list the MethodSpec.params keys"
     assert set(re.findall(r"`(\w+)`", listed.group(1))) == PARAM_KEYS
+
+
+SRC = Path(wann.__file__).resolve().parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads.
+
+    A name counts as read when it appears as a name in the code or, in a
+    package ``__init__``, in ``__all__``.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_no_unused_imports_in_the_package():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = {path.name: unused_imports(path.read_text("utf-8"))
+             for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_unused_import_check_sees_a_stale_import():
+    assert unused_imports("import os\nfrom .nn import Mlp, forward\n"
+                          "forward(Mlp)\n") == ["os (line 1)"]

@@ -396,6 +396,51 @@ def median_pairwise_distance_with_index_arrays(X, Y=None):
     return med if med > 0.0 else 1.0
 
 
+def gaussian_kernel_out_of_place(X, Y, sigma):
+    """The kernel as first written, one temporary per operation."""
+    sq_x = np.sum(X * X, axis=1)[:, None]
+    sq_y = np.sum(Y * Y, axis=1)[None, :]
+    d2 = np.maximum(sq_x + sq_y - 2.0 * (X @ Y.T), 0.0)
+    return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+class TestGaussianKernel:
+    def test_bits_match_the_out_of_place_formula(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            m, n, d = (int(v) for v in rng.integers(1, 40, size=3))
+            X = rng.normal(size=(m, d))
+            Y = rng.normal(0.3, 1.5, size=(n, d))
+            sigma = float(rng.uniform(0.1, 5.0))
+            assert np.array_equal(_gaussian_kernel(X, Y, sigma),
+                                  gaussian_kernel_out_of_place(X, Y, sigma))
+        # coincident rows give cancellations that the clamp at 0 handles
+        Z = np.repeat(rng.normal(size=(3, 4)), 2, axis=0)
+        assert np.array_equal(_gaussian_kernel(Z, Z, 1.0),
+                              gaussian_kernel_out_of_place(Z, Z, 1.0))
+
+    def test_bits_match_on_the_mixture_draw_kernel(self):
+        Xs = gen_mixture_shift(MixtureShiftSpec(
+            dim=64, m=1000, target_fraction=0.2, seed=7)).train.source_rows().X
+        sigma = median_pairwise_distance(Xs)
+        assert np.array_equal(_gaussian_kernel(Xs, Xs, sigma),
+                              gaussian_kernel_out_of_place(Xs, Xs, sigma))
+
+    def test_holds_two_kernel_sized_arrays_at_most(self):
+        # the out-of-place formula holds three: sq_x + sq_y, X @ Y.T and
+        # 2.0 * (X @ Y.T)
+        rng = np.random.default_rng(15)
+        X, Y = rng.normal(size=(400, 5)), rng.normal(size=(300, 5))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _gaussian_kernel(X, Y, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * X.shape[0] * Y.shape[0] * 8
+
+
 class TestMedianPairwiseDistance:
     @pytest.mark.parametrize("X", [
         *(np.random.default_rng(rows).normal(size=(rows, 3))

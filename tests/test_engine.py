@@ -6,6 +6,7 @@ flat engine runs the same element-wise arithmetic in the same order, so
 parameters must agree bit for bit, not just to a tolerance.
 """
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from wann.data import TrainingSet, labeling_fn
 from wann.discrepancy import _ascend
-from wann.nn import (AdamState, FitConfig, GradBundle, adam_step, build_mlp,
+from wann.nn import (AdamState, FitConfig, adam_step, build_mlp,
                      fit_regression, forward, weighted_mse_grad)
 from wann.training import WannModel, build_wann_model, wann_step
 
@@ -252,32 +253,35 @@ class TestFlatStorage:
         twin = net.copy()
         assert np.array_equal(twin.params, net.params)
         assert not np.shares_memory(twin.params, net.params)
-        assert not np.shares_memory(twin.grads.flat, net.grads.flat)
+        assert not np.shares_memory(twin.grad, net.grad)
         before = net.params.copy()
+        grad_before = net.grad.copy()
         X = np.random.default_rng(17).normal(size=(6, 3))
         out = forward(net, X)
-        _, grads = weighted_mse_grad(twin, X, np.ones(6), np.ones(6))
-        adam_step(twin, grads, AdamState.for_net(twin))
+        weighted_mse_grad(twin, X, np.ones(6), np.ones(6))
+        adam_step(twin, AdamState.for_net(twin))
+        assert np.array_equal(net.grad, grad_before)
         assert np.array_equal(net.params, before)
         assert not np.array_equal(twin.params, before)
         assert np.array_equal(forward(net, X), out)
 
-    def test_gradient_bundle_is_flat_and_owned_by_the_net(self):
+    def test_gradient_is_flat_and_owned_by_the_net(self):
         net = build_mlp(3, (5,), rng=np.random.default_rng(18))
         X = np.ones((4, 3))
-        _, grads = weighted_mse_grad(net, X, np.zeros(4), np.ones(4))
-        assert grads is net.grads
-        for g in grads.d_weights + grads.d_biases:
-            assert np.shares_memory(g, grads.flat)
-        bundle = GradBundle([np.ones((2, 1))], [np.full(1, 2.0)])
-        assert bundle.flat.tolist() == [1.0, 1.0, 2.0]
-
-    def test_replaced_gradient_array_rejected(self):
-        net = build_mlp(3, (5,), rng=np.random.default_rng(19))
-        grads = GradBundle.zeros_like(net)
-        grads.d_weights[0] = np.ones_like(grads.d_weights[0])
-        with pytest.raises(ValueError, match="views"):
-            adam_step(net, grads, AdamState.for_net(net))
+        loss = weighted_mse_grad(net, X, np.zeros(4), np.ones(4))
+        assert type(loss) is float
+        assert net.grad.shape == net.params.shape
+        assert not np.shares_memory(net.grad, net.params)
+        assert net.grad.any()
+        # Adam reads the net's own gradient: its first step moves every
+        # parameter by lr against the sign of its gradient
+        assert list(inspect.signature(adam_step).parameters) == ["net",
+                                                                 "state"]
+        net.grad[:] = 1.0
+        before = net.params.copy()
+        adam_step(net, AdamState.for_net(net, lr=0.01))
+        np.testing.assert_allclose(net.params, before - 0.01 / (1.0 + 1e-8),
+                                   rtol=1e-12, atol=1e-15)
 
 
 KIB = 1024

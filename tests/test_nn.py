@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, GradBundle,
-                     Mlp, TrainingDivergedError, _backward, _forward_cache,
+from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
+                     TrainingDivergedError, _backward, _forward_cache,
                      adam_step, build_mlp, clip_weights, fit_regression,
                      forward, weighted_mse_grad)
 
@@ -25,9 +25,8 @@ def set_params(net, flat):
             i += arr.size
 
 
-def flatten_grads(grads):
-    return np.concatenate([np.concatenate([gw.ravel(), gb])
-                           for gw, gb in zip(grads.d_weights, grads.d_biases)])
+def flatten_grads(net):
+    return net.grad.copy()
 
 
 class TestForward:
@@ -72,18 +71,17 @@ class TestWeightedMseGrad:
         net = Mlp([DenseLayer(np.array([[2.0]]), np.zeros(1))])
         X = np.array([[1.0], [2.0], [-3.0]])
         y = 2.0 * X[:, 0]
-        loss, grads = weighted_mse_grad(net, X, y, np.full(3, 0.5))
+        loss = weighted_mse_grad(net, X, y, np.full(3, 0.5))
         assert loss == 0.0
-        assert np.all(flatten_grads(grads) == 0.0)
+        assert np.all(flatten_grads(net) == 0.0)
 
     def test_zero_weights_zero_everything(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
         X = rng.normal(size=(4, 3))
-        loss, grads = weighted_mse_grad(net, X, rng.normal(size=4),
-                                        np.zeros(4))
+        loss = weighted_mse_grad(net, X, rng.normal(size=4), np.zeros(4))
         assert loss == 0.0
-        assert np.all(flatten_grads(grads) == 0.0)
+        assert np.all(flatten_grads(net) == 0.0)
 
     def test_length_mismatch_rejected(self):
         net = random_net(np.random.default_rng(4))
@@ -99,9 +97,8 @@ class TestWeightedMseGrad:
         X = rng.normal(size=(4, 3))
         y = rng.normal(size=4)
         w = rng.normal(size=4)  # signed weights supported
-        _, grads = weighted_mse_grad(net, X, y, w)
-        assert_grads_match_fd(net, grads,
-                              lambda n: weighted_mse_grad(n, X, y, w)[0])
+        weighted_mse_grad(net, X, y, w)
+        assert_grads_match_fd(net, lambda n: weighted_mse_grad(n, X, y, w))
 
     def test_loss_linear_in_weights(self):
         rng = np.random.default_rng(7)
@@ -110,15 +107,17 @@ class TestWeightedMseGrad:
         y = rng.normal(size=6)
         w1 = rng.normal(size=6)
         w2 = rng.normal(size=6)
-        l1, _ = weighted_mse_grad(net, X, y, w1)
-        l2, _ = weighted_mse_grad(net, X, y, w2)
-        l12, _ = weighted_mse_grad(net, X, y, w1 + w2)
+        l1 = weighted_mse_grad(net, X, y, w1)
+        l2 = weighted_mse_grad(net, X, y, w2)
+        l12 = weighted_mse_grad(net, X, y, w1 + w2)
         assert abs(l12 - (l1 + l2)) <= 1e-10 * max(abs(l12), 1.0)
 
 
-def assert_grads_match_fd(net, grads, loss_fn, step=1e-5, rtol=1e-4):
+def assert_grads_match_fd(net, loss_fn, step=1e-5, rtol=1e-4):
+    """Compare ``net.grad``, left by the last gradient call on ``net``,
+    with central differences of ``loss_fn``."""
     flat = flatten_params(net)
-    analytic = flatten_grads(grads)
+    analytic = flatten_grads(net)
     probe = net.copy()
     fd = np.zeros_like(flat)
     for k in range(len(flat)):
@@ -135,10 +134,12 @@ def assert_grads_match_fd(net, grads, loss_fn, step=1e-5, rtol=1e-4):
 
 
 def weighted_output_grad(net, X, v):
-    """sum_i v_i * net(x_i) and its gradient, the weighter update's form."""
+    """sum_i v_i * net(x_i), its gradient left in ``net.grad``: the
+    weighter update's form."""
     out, caches = _forward_cache(net, X)
     value = float(np.dot(v, out))
-    return value, _backward(net, caches, v)
+    _backward(net, caches, v)
+    return value
 
 
 class TestWeightedOutputGrad:
@@ -150,7 +151,7 @@ class TestWeightedOutputGrad:
         net = random_net(rng)
         X = rng.normal(size=(5, 3))
         v = rng.normal(size=5)
-        value, _ = weighted_output_grad(net, X, v)
+        value = weighted_output_grad(net, X, v)
         np.testing.assert_allclose(value, np.dot(v, forward(net, X)),
                                    rtol=1e-14)
 
@@ -159,9 +160,8 @@ class TestWeightedOutputGrad:
         net = random_net(rng, output="relu")
         X = rng.normal(size=(4, 3))
         v = rng.normal(size=4)
-        _, grads = weighted_output_grad(net, X, v)
-        assert_grads_match_fd(net, grads,
-                              lambda n: weighted_output_grad(n, X, v)[0])
+        weighted_output_grad(net, X, v)
+        assert_grads_match_fd(net, lambda n: weighted_output_grad(n, X, v))
 
 
 class TestAdamStep:
@@ -170,15 +170,16 @@ class TestAdamStep:
         net = random_net(rng)
         before = flatten_params(net).copy()
         state = AdamState.for_net(net)
-        adam_step(net, GradBundle.zeros_like(net), state)
+        net.grad[:] = 0.0
+        adam_step(net, state)
         np.testing.assert_array_equal(flatten_params(net), before)
         assert state.step_count == 1
 
     def test_single_scalar_first_step(self):
         net = Mlp([DenseLayer(np.array([[0.0]]), np.zeros(1))])
         state = AdamState.for_net(net, lr=0.001)
-        grads = GradBundle([np.array([[1.0]])], [np.zeros(1)])
-        adam_step(net, grads, state)
+        net.grad[:] = [1.0, 0.0]  # d/dweight, d/dbias
+        adam_step(net, state)
         # bias-corrected first step: -lr * 1 / (sqrt(1) + eps)
         expected = -0.001 * (1.0 / (1.0 + 1e-8))
         np.testing.assert_allclose(net.layers[0].weights[0, 0], expected,
@@ -187,25 +188,16 @@ class TestAdamStep:
     def test_update_clipped_at_boundary(self):
         net = Mlp([DenseLayer(np.array([[0.499]]), np.zeros(1))], clip=0.5)
         state = AdamState.for_net(net, lr=0.2)
-        grads = GradBundle([np.array([[-1.0]])], [np.zeros(1)])
-        adam_step(net, grads, state)  # would land near 0.699 without clip
+        net.grad[:] = [-1.0, 0.0]
+        adam_step(net, state)  # would land near 0.699 without clip
         assert net.layers[0].weights[0, 0] == 0.5
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(11)
-        net = random_net(rng)
-        state = AdamState.for_net(net)
-        bad = GradBundle.zeros_like(net)
-        bad.d_weights[0] = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(net, bad, state)
 
     def test_step_count_strictly_increases(self):
         rng = np.random.default_rng(12)
         net = random_net(rng)
         state = AdamState.for_net(net)
         for expected in (1, 2, 3):
-            adam_step(net, GradBundle.zeros_like(net), state)
+            adam_step(net, state)
             assert state.step_count == expected
 
 
@@ -317,8 +309,8 @@ class TestBuildMlp:
         y = rng.normal(size=10)
         w = np.ones(10)
         for _ in range(20):
-            _, grads = weighted_mse_grad(net, X, y, w)
-            adam_step(net, grads, state)
+            weighted_mse_grad(net, X, y, w)
+            adam_step(net, state)
             assert np.abs(flatten_params(net)).max() <= 0.05
 
     def test_arch_spec_builds_equivalent_net(self):
