@@ -106,7 +106,10 @@ def _prediction_result(method, seed, predictions, validation) -> RunResult:
 
 
 def _trace_result(method, seed, net, trace, validation) -> RunResult:
-    predictions = None if validation is None else forward(net, validation.X)
+    # the last epoch's predictions already describe the final network
+    predictions = trace.predictions
+    if validation is not None and predictions is None:
+        predictions = forward(net, validation.X)
     result = _prediction_result(method, seed, predictions, validation)
     result.curve = list(trace.val_mse)
     return result

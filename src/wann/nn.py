@@ -365,9 +365,11 @@ def clip_weights(net: Mlp) -> Mlp:
 
 @dataclass
 class FitTrace:
-    """Per-epoch validation MSE, when a validation sample is given."""
+    """Per-epoch validation MSE and the last epoch's validation
+    predictions, when a validation sample is given."""
 
     val_mse: list[float] = field(default_factory=list)
+    predictions: np.ndarray | None = None
 
 
 def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -381,9 +383,9 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     scaled by total/batch rows, the unbiased estimate of the full-set
     weighted loss (for uniform 1/k weights this is plain mean-MSE
     training). When ``validation`` is given, records the unweighted
-    validation MSE of the current network after each epoch. Raises
-    ``TrainingDivergedError`` once a batch loss or a parameter stops
-    being finite.
+    validation MSE of the current network after each epoch and keeps the
+    last epoch's predictions. Raises ``TrainingDivergedError`` once a
+    batch loss or a parameter stops being finite.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -411,8 +413,9 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
             raise TrainingDivergedError(epoch)
         if validation is not None:
             val_x, val_y = validation
-            pred = forward(net, val_x)
-            trace.val_mse.append(float(np.mean((pred - val_y) ** 2)))
+            trace.predictions = forward(net, val_x)
+            trace.val_mse.append(
+                float(np.mean((trace.predictions - val_y) ** 2)))
     return trace
 
 

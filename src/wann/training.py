@@ -98,6 +98,11 @@ def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden,
                               for net in nets))
 
 
+def _require_both_domains(train: TrainingSet) -> None:
+    if train.n_source == 0 or train.n_target == 0:
+        raise ValueError("training set needs both source and target rows")
+
+
 def pretrain_weighter(model: WannModel, train: TrainingSet,
                       config: WannConfig) -> WannModel:
     """Fit q toward the constant 1/(m+n) so all weights start uniform.
@@ -106,7 +111,10 @@ def pretrain_weighter(model: WannModel, train: TrainingSet,
     toward the constant 1. The fit targets the pre-relu output (the
     relu is inactive at the positive constant anyway); fitting through
     the relu instead leaves rows that dip negative without a gradient.
+    Raises ``ValueError`` before any training unless ``train`` has the
+    source and target rows ``fit_wann`` needs.
     """
+    _require_both_domains(train)
     k = len(train)
     model.weight_scale = 1.0 / k
     target = np.ones(k)
@@ -196,13 +204,13 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
 
     The model must have been pretrained (see ``pretrain_weighter``).
     Records the validation MSE of h once per epoch when a validation
-    sample is given, and returns h's final predictions on it.
-    Deterministic per seed; mutates the model.
+    sample is given, and returns h's final predictions on it. A batch
+    size above the number of rows makes one full batch, as in
+    ``fit_regression``. Deterministic per seed; mutates the model.
     """
-    if train.n_source == 0 or train.n_target == 0:
-        raise ValueError("training set needs both source and target rows")
-    if config.batch_size < 1 or config.batch_size > len(train):
-        raise ValueError("batch_size must lie in [1, m+n]")
+    _require_both_domains(train)
+    if config.batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(config.seed)
     curve: list[float] = []
     pred = None

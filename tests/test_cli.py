@@ -120,12 +120,12 @@ class TestArgumentValidation:
 
     def test_failed_run_exits_one_after_writing_artifacts(self, tmp_path):
         out = tmp_path / "bench"
-        # batch 50 exceeds the 40 training rows: wann rejects it,
-        # uniform and target-only train
+        # 99% of 40 rows rounds to 40 target rows and no source row:
+        # wann rejects that, uniform and target-only train
         proc = run_cli("synth-bench", "--dims", "3", "--repeats", "1",
                        "--m", "40", "--out", str(out), "--seed", "3",
                        "--hidden", "4", "--epochs", "2",
-                       "--pretrain-epochs", "1", "--batch-size", "50")
+                       "--pretrain-epochs", "1", "--target-fraction", "0.99")
         assert proc.returncode == 1
         assert "dim3/wann_3" in proc.stderr
         assert "uniform" not in proc.stderr

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wann import harness
 from wann.data import MixtureShiftSpec, gen_mixture_shift
 from wann.harness import (PARAM_KEYS, ExperimentConfig, MethodSpec,
                           build_comparison_table, compute_metrics,
@@ -141,7 +142,7 @@ class TestRunExperiment:
                                shallow=False), rel
 
     def test_method_failure_recorded_not_fatal(self, tmp_path):
-        bad = dict(FAST, batch_size=10_000)  # exceeds m+n, fit_wann rejects
+        bad = dict(FAST, batch_size=0)  # below 1, which fit_wann rejects
         config = ExperimentConfig(
             scenario=TINY,
             methods=[MethodSpec("wann", bad),
@@ -217,6 +218,28 @@ class TestMethodSpec:
                                               result.final_mae)
         write_run_file(result, tmp_path / "run.txt")
         assert "predictions" not in (tmp_path / "run.txt").read_text()
+
+    @pytest.mark.parametrize("method", ["uniform", "target_only", "kmm",
+                                        "kliep"])
+    def test_last_epoch_predictions_are_reused(self, monkeypatch, method):
+        # the fit's last validation forward already gives the predictions;
+        # only a fit of zero epochs needs one more
+        data = gen_mixture_shift(replace(TINY, seed=5))
+        calls = []
+
+        def counting_forward(net, X):
+            calls.append(len(X))
+            return forward(net, X)
+
+        monkeypatch.setattr(harness, "forward", counting_forward)
+        trained = run_method(MethodSpec(method, dict(FAST)), data.train,
+                             data.validation, seed=5)
+        untrained = run_method(MethodSpec(method, dict(FAST, epochs=0)),
+                               data.train, data.validation, seed=5)
+        assert trained.error is None and untrained.error is None
+        assert calls == [len(data.validation.y)]
+        assert trained.final_mse == trained.curve[-1]
+        assert untrained.curve == []
 
 
 class TestPlotOutputs:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from wann import training
 from wann.data import TrainingSet, LabeledSample, labeling_fn
 from wann.nn import (AdamState, DenseLayer, Mlp, TrainingDivergedError,
                      forward)
@@ -296,9 +297,20 @@ class TestFitWann:
 
     def test_batch_size_validation(self):
         model, train, config = self.make_ready(seed=16)
-        config.batch_size = len(train) + 1
+        config.batch_size = 0
         with pytest.raises(ValueError, match="batch_size"):
             fit_wann(model, train, config)
+        # a batch above the row count is one full batch
+        val = LabeledSample(train.X[:10], train.y[:10], "target")
+        results = []
+        for batch_size in (len(train), len(train) + 1):
+            model, train, config = self.make_ready(seed=16)
+            config.batch_size = batch_size
+            results.append(fit_wann(model, train, config, validation=val))
+        full, above = results
+        assert full.curve == above.curve
+        np.testing.assert_array_equal(full.predictions, above.predictions)
+        np.testing.assert_array_equal(full.weights, above.weights)
 
     def test_requires_both_domains(self):
         model, train, config = self.make_ready(seed=17)
@@ -306,6 +318,21 @@ class TestFitWann:
                                np.zeros(len(train), dtype=bool))
         with pytest.raises(ValueError, match="source and target"):
             fit_wann(model, only_src, config)
+
+    @pytest.mark.parametrize("domain", ["source", "target"])
+    def test_one_domain_fails_before_pretraining(self, monkeypatch, domain):
+        def no_training(*args, **kwargs):
+            raise AssertionError("the weighter was trained")
+
+        monkeypatch.setattr(training, "fit_regression", no_training)
+        train = small_train(k=40, d=3, n_target=10, seed=18)
+        one_side = TrainingSet(train.X, train.y,
+                               np.full(len(train), domain == "target"))
+        config = WannConfig(epochs=2, batch_size=16, pretrain_epochs=5,
+                            seed=18)
+        model = build_wann_model(3, (8,), clip=1.0, config=config)
+        with pytest.raises(ValueError, match="source and target"):
+            pretrain_weighter(model, one_side, config)
 
 
 class TestTrainingWeights:
