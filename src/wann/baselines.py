@@ -155,7 +155,10 @@ def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
     """Euclidean projection onto {0 <= w <= B, lo <= sum(w) <= hi}.
 
     The projection is clip(v - lam, 0, B) where lam shifts the sum into
-    the band; the sum is monotone in lam, so bisection solves it.
+    the band; the sum is monotone in lam, so bisection solves it. The
+    bisection keeps sum(left) > want >= sum(right) and returns the end
+    on the band's side of the edge it seeks, so rounding never carries
+    the sum past that edge.
     """
     m = len(v)
     if m * B < lo:
@@ -168,7 +171,8 @@ def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
     def shifted_sum(lam: float) -> float:
         return float(np.clip(v - lam, 0.0, B).sum())
 
-    want = hi if total > hi else lo
+    above = total > hi
+    want = hi if above else lo
     left, right = float(v.min() - B - 1.0), float(v.max() + 1.0)
     for _ in range(200):
         mid = 0.5 * (left + right)
@@ -176,7 +180,7 @@ def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
             left = mid
         else:
             right = mid
-    return np.clip(v - 0.5 * (left + right), 0.0, B)
+    return np.clip(v - (right if above else left), 0.0, B)
 
 
 def _perron_bounds(K: np.ndarray) -> tuple[float, float]:

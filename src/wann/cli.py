@@ -233,8 +233,7 @@ def cmd_synth_bench(args) -> int:
             scenario=scenario,
             methods=[MethodSpec("wann", wann_params),
                      MethodSpec("uniform", dict(params)),
-                     MethodSpec("target_only", dict(params,
-                                                    kind="target_only"))],
+                     MethodSpec("target_only", dict(params))],
             n_repeats=args.repeats,
             base_seed=args.seed,
             out_dir=str(out_root / f"dim{dim}"),
@@ -274,7 +273,7 @@ def cmd_fit(args) -> int:
     params = dict(_net_params(args), pretrain_epochs=args.pretrain_epochs,
                   kernel_bandwidth=args.bandwidth, B=args.kmm_b,
                   n_centers=args.kliep_centers,
-                  n_iterations=args.boost_iters, kind=method)
+                  n_iterations=args.boost_iters)
     result = run_method(MethodSpec(method, params), train, test, args.seed)
     if result.error is not None:
         raise RuntimeError(f"{method} failed: {result.error}")

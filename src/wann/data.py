@@ -148,15 +148,18 @@ def gen_mixture_shift(spec: MixtureShiftSpec) -> SyntheticData:
     return SyntheticData(train, validation, flags, centers, target_center)
 
 
-def gen_uniform_shift_1d(m: int, n: int, seed: int = 0,
-                         grid_points: int = 201
+# evaluation grid points of gen_uniform_shift_1d
+GRID_POINTS = 201
+
+
+def gen_uniform_shift_1d(m: int, n: int, seed: int = 0
                          ) -> tuple[TrainingSet, LabeledSample]:
     """1-D identity task with shifted uniform supports.
 
     Source inputs are U[0, 2], target inputs U[1, 3], and y = x for
     every row, so reweighting cannot hurt but feature alignment would.
-    Also returns a dense evaluation grid over the target support with
-    identity labels.
+    Also returns an evaluation grid of ``GRID_POINTS`` evenly spaced
+    points over the target support, with identity labels.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -166,7 +169,7 @@ def gen_uniform_shift_1d(m: int, n: int, seed: int = 0,
     x = np.concatenate([src_x, tgt_x])[:, None]
     flags = np.concatenate([np.zeros(m, dtype=bool), np.ones(n, dtype=bool)])
     train = TrainingSet(x, x[:, 0].copy(), flags)
-    grid_x = np.linspace(1.0, 3.0, grid_points)[:, None]
+    grid_x = np.linspace(1.0, 3.0, GRID_POINTS)[:, None]
     grid = LabeledSample(grid_x, grid_x[:, 0].copy(), "target")
     return train, grid
 

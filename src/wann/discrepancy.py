@@ -112,6 +112,8 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
         raise ValueError("source weights must be nonnegative")
     if source_x.shape[1] != target.X.shape[1]:
         raise ValueError("source and target have different feature counts")
+    if len(target.X) == 0:
+        raise ValueError("target sample is empty")
 
     init_rng = np.random.default_rng(seed)
     if init_net is not None:

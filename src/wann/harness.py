@@ -39,16 +39,15 @@ _WANN_KEYS = ("pretrain_epochs",)
 _KMM_KEYS = ("kernel_bandwidth", "B", "eps")
 _KLIEP_KEYS = ("n_centers", "kernel_bandwidth")
 PARAM_KEYS = frozenset(_ARCH_KEYS + _FIT_KEYS + _WANN_KEYS + _KMM_KEYS
-                       + _KLIEP_KEYS
-                       + ("n_iterations", "kind"))
+                       + _KLIEP_KEYS + ("n_iterations",))
 
 
 @dataclass
 class MethodSpec:
     """One method of an experiment.
 
-    ``params`` holds hyper-parameter overrides (see ``PARAM_KEYS``) and
-    may name the runner under ``kind`` when ``name`` is only a label.
+    ``name`` names the runner (a key of ``RUNNERS``) and ``params``
+    holds hyper-parameter overrides (see ``PARAM_KEYS``).
     """
 
     name: str
@@ -195,13 +194,12 @@ RUNNERS = {
 def run_method(spec: MethodSpec, train: TrainingSet,
                validation: LabeledSample | None, seed: int) -> RunResult:
     """Run one method, capturing failures as an error-tagged result."""
-    kind = spec.params["kind"] if "kind" in spec.params else spec.name
-    if kind not in RUNNERS:
-        raise ValueError(f"unknown method {kind!r}; "
+    if spec.name not in RUNNERS:
+        raise ValueError(f"unknown method {spec.name!r}; "
                          f"choices: {sorted(RUNNERS)}")
     start = time.perf_counter()
     try:
-        result = RUNNERS[kind](train, validation, seed, spec.params)
+        result = RUNNERS[spec.name](train, validation, seed, spec.params)
     except Exception as exc:
         result = RunResult(method=spec.name, seed=seed,
                            error=f"{type(exc).__name__}: {exc}")
@@ -336,8 +334,8 @@ def emit_plot_data(results: list[RunResult], out_dir: str | Path) -> None:
             lines.append(Line(label=method, xs=np.arange(length),
                               ys=stack.mean(axis=0),
                               band=stack.std(axis=0)))
-        write_chart(out / "plot.svg", lines=lines, title="",
-                    x_label="epoch", y_label=CURVE_METRIC)
+        write_chart(out / "plot.svg", lines=lines, x_label="epoch",
+                    y_label=CURVE_METRIC)
 
 
 def run_experiment(config: ExperimentConfig

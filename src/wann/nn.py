@@ -4,6 +4,10 @@ Forward passes, exact reverse-mode gradients of per-example-weighted
 losses, Adam updates and coordinate-wise weight clipping. Everything is
 float64 and deterministic given a seed; no autodiff framework involved.
 
+Every network has one shape: a relu after each layer but the last and a
+linear scalar output. A caller that needs a nonnegative output (the
+weighting network of ``wann.training``) applies its own relu to it.
+
 Memory layout: an ``Mlp`` keeps every parameter in one contiguous
 vector, ``Mlp.params``, and each layer's ``weights`` and ``biases`` are
 views into it. The working memory of training belongs to the network
@@ -19,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_ACTIVATIONS = ("relu", "identity")
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
 BETA1 = 0.9
@@ -48,7 +50,8 @@ def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
 
 @dataclass
 class DenseLayer:
-    """Fully connected layer: out = act(x @ weights + biases).
+    """Fully connected layer: out = x @ weights + biases, followed by a
+    relu unless it is the last layer of its ``Mlp``.
 
     Inside an ``Mlp`` the arrays are views into the network's flat
     parameter vector: update them in place, never rebind them.
@@ -56,7 +59,6 @@ class DenseLayer:
 
     weights: np.ndarray
     biases: np.ndarray
-    activation: str = "identity"
 
     def __post_init__(self):
         # own copies: layers are updated in place by the optimizer
@@ -69,8 +71,6 @@ class DenseLayer:
                 f"bias shape {self.biases.shape} does not match "
                 f"{self.weights.shape[1]} output units"
             )
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def n_inputs(self) -> int:
@@ -83,12 +83,11 @@ class DenseLayer:
 
 @dataclass
 class Mlp:
-    """Feed-forward network with scalar output.
+    """Feed-forward network with relu hidden layers and a linear scalar
+    output.
 
     ``clip`` is the weight-clipping constant: after every optimizer step
-    all weights and biases are projected onto [-clip, clip]. The
-    optional relu ``output_activation`` clamps outputs to be
-    nonnegative (used by weighting networks).
+    all weights and biases are projected onto [-clip, clip].
 
     The network takes over its layers' storage: ``params`` holds every
     parameter, layer by layer, and the layers' arrays become views
@@ -98,7 +97,6 @@ class Mlp:
 
     layers: list[DenseLayer]
     clip: float | None = None
-    output_activation: str = "identity"
     params: np.ndarray = field(init=False, repr=False, compare=False)
     grad: np.ndarray = field(init=False, repr=False, compare=False)
     # per-layer views into ``grad`` that the backward pass writes
@@ -119,8 +117,6 @@ class Mlp:
                 raise ValueError(
                     f"layer dims incompatible: {prev.n_outputs} -> {nxt.n_inputs}"
                 )
-        if self.output_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.output_activation!r}")
         if self.clip is not None and self.clip <= 0:
             raise ValueError("clip constant must be positive")
         self.params, weights, biases = _pack(
@@ -141,9 +137,8 @@ class Mlp:
     def copy(self) -> "Mlp":
         """Independent network with equal parameters and fresh buffers."""
         # DenseLayer copies the arrays it is given
-        return Mlp([DenseLayer(layer.weights, layer.biases, layer.activation)
-                    for layer in self.layers],
-                   self.clip, self.output_activation)
+        return Mlp([DenseLayer(layer.weights, layer.biases)
+                    for layer in self.layers], self.clip)
 
 
 @dataclass
@@ -161,9 +156,8 @@ class ArchSpec:
 
 
 def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
-              clip: float | None = None, output_activation: str = "identity",
-              rng: np.random.Generator) -> Mlp:
-    """Create an MLP with relu hidden layers and a scalar output.
+              clip: float | None = None, rng: np.random.Generator) -> Mlp:
+    """Create an MLP with relu hidden layers and a linear scalar output.
 
     Weights are Glorot-uniform from ``rng``, biases zero.
     """
@@ -173,13 +167,8 @@ def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
         fan_in, fan_out = dims[k], dims[k + 1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        is_hidden = k < len(dims) - 2
-        layers.append(DenseLayer(
-            weights=weights,
-            biases=np.zeros(fan_out),
-            activation="relu" if is_hidden else "identity",
-        ))
-    net = Mlp(layers, clip=clip, output_activation=output_activation)
+        layers.append(DenseLayer(weights, np.zeros(fan_out)))
+    net = Mlp(layers, clip=clip)
     if clip is not None:
         clip_weights(net)
     return net
@@ -201,6 +190,7 @@ def _forward_cache(net: Mlp, X: np.ndarray):
             f"X has {X.shape[1]} columns, network expects {net.n_inputs}"
         )
     rows = len(X)
+    last = len(net.layers) - 1
     caches = []
     a = X
     for k, layer in enumerate(net.layers):
@@ -210,41 +200,32 @@ def _forward_cache(net: Mlp, X: np.ndarray):
         out = buf[:rows]
         np.matmul(a, layer.weights, out=out)
         out += layer.biases
-        if layer.activation == "relu":
+        if k < last:
             np.maximum(out, 0.0, out=out)
         caches.append((a, out))
         a = out
-    y = a[:, 0]
-    if net.output_activation == "relu":
-        np.maximum(y, 0.0, out=y)
-    return y, caches
+    return a[:, 0], caches
 
 
 def _backward(net: Mlp, caches, d_out: np.ndarray) -> None:
     """Reverse-mode parameter gradients from d(loss)/d(outputs).
 
     Consumes the forward caches: each layer's input gradient is written
-    over that layer's input buffer, and a relu's derivative is read
-    from its output (positive exactly where the pre-activation is).
-    The gradient is written into ``net.grad``.
+    over that layer's input buffer, and a hidden relu's derivative is
+    read from its output (positive exactly where the pre-activation is)
+    before that buffer is overwritten. The gradient is written into
+    ``net.grad``.
     """
-    top = caches[-1][1]
-    pos = top > 0.0 if net.layers[-1].activation == "relu" else None
-    y = top[:, 0]
-    if net.output_activation == "relu":
-        np.multiply(d_out, y > 0.0, out=y)
-    else:
-        y[...] = d_out
-    delta = top
+    delta = caches[-1][1]
+    delta[:, 0] = d_out
     for k in range(len(net.layers) - 1, -1, -1):
         a_in = caches[k][0]
-        if pos is not None:
-            delta *= pos
         np.matmul(a_in.T, delta, out=net._d_weights[k])
         np.sum(delta, axis=0, out=net._d_biases[k])
         if k > 0:
-            pos = a_in > 0.0 if net.layers[k - 1].activation == "relu" else None
+            pos = a_in > 0.0
             np.matmul(delta, net.layers[k].weights.T, out=a_in)
+            a_in *= pos
             delta = a_in
 
 

@@ -50,8 +50,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def write_chart(path: str | Path, lines: list[Line] = (),
-                points: list[Points] = (), title: str = "",
-                x_label: str = "", y_label: str = "") -> None:
+                points: list[Points] = (), x_label: str = "",
+                y_label: str = "") -> None:
     """Write a line/scatter chart with linear axes and a legend."""
     series = list(lines) + list(points)
     if not series:
@@ -88,10 +88,6 @@ def write_chart(path: str | Path, lines: list[Line] = (),
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>')
 
     axis_y = HEIGHT - MARGIN_B
     parts.append(f'<line x1="{MARGIN_L}" y1="{axis_y}" x2="{WIDTH - MARGIN_R}" '

@@ -45,14 +45,16 @@ class WannConfig(FitConfig):
 class WannModel:
     """Task network h, adversary h' and weighting network q.
 
-    h, h' and q share one architecture class and clipping constant; q
-    carries a relu output so its weights are nonnegative.
+    h, h' and q share one architecture class and clipping constant, and
+    all three are plain ``Mlp``s with a linear output. This module puts
+    a relu on q's output wherever it reads weights from q, so the
+    weights are nonnegative.
 
     The weighting network emits relative weights; the instance weight
-    is its output times ``weight_scale``. Pretraining sets the scale to
-    1/(m+n) and fits the network toward 1, so the network itself works
-    at unit scale, which Adam's step size can actually resolve, while
-    the effective weights start at the uniform 1/(m+n).
+    is the relu of its output times ``weight_scale``. Pretraining sets
+    the scale to 1/(m+n) and fits the network toward 1, so the network
+    itself works at unit scale, which Adam's step size can actually
+    resolve, while the effective weights start at the uniform 1/(m+n).
     """
 
     task: Mlp
@@ -64,20 +66,18 @@ class WannModel:
     weight_scale: float = 1.0
 
     def __post_init__(self):
-        if self.weighter.output_activation != "relu":
-            raise ValueError("weighter must have a relu output activation")
         if self.weight_scale <= 0.0:
             raise ValueError("weight_scale must be positive")
 
     def instance_weights(self, X: np.ndarray) -> np.ndarray:
-        return self.weight_scale * forward(self.weighter, X)
+        return self.weight_scale * np.maximum(forward(self.weighter, X), 0.0)
 
 
 def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden,
                      *, clip: float | None = ArchSpec.clip,
                      config: WannConfig | None = None,
                      seed: int | None = None) -> WannModel:
-    """Create a fresh model: h, h' and q in one class, q with relu output.
+    """Create a fresh model: h, h' and q in one architecture class.
 
     ``seed`` defaults to the config seed; h, h' and q are drawn
     sequentially from one generator stream.
@@ -91,8 +91,7 @@ def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden,
     # random starts instead hand the weighter several full-size steps
     # of pure initialization luck, enough to saturate its relu output.
     adversary = task.copy()
-    weighter = build_mlp(n_inputs, hidden, clip=clip,
-                         output_activation="relu", rng=rng)
+    weighter = build_mlp(n_inputs, hidden, clip=clip, rng=rng)
     nets = (task, adversary, weighter)
     return WannModel(*nets, *(AdamState.for_net(net, lr=config.lr)
                               for net in nets))
@@ -108,24 +107,20 @@ def pretrain_weighter(model: WannModel, train: TrainingSet,
     """Fit q toward the constant 1/(m+n) so all weights start uniform.
 
     Sets the model's weight scale to 1/(m+n) and fits the network
-    toward the constant 1. The fit targets the pre-relu output (the
-    relu is inactive at the positive constant anyway); fitting through
-    the relu instead leaves rows that dip negative without a gradient.
-    Raises ``ValueError`` before any training unless ``train`` has the
-    source and target rows ``fit_wann`` needs.
+    toward the constant 1. The fit targets q's linear output, before
+    the relu that turns it into weights (the relu is inactive at the
+    positive constant anyway); fitting through the relu instead leaves
+    rows that dip negative without a gradient. Raises ``ValueError``
+    before any training unless ``train`` has the source and target rows
+    ``fit_wann`` needs.
     """
     _require_both_domains(train)
     k = len(train)
     model.weight_scale = 1.0 / k
     target = np.ones(k)
     uniform = np.full(k, 1.0 / k)
-    activation = model.weighter.output_activation
-    model.weighter.output_activation = "identity"
-    try:
-        fit_regression(model.weighter, train.X, target, uniform,
-                       replace(config, epochs=config.pretrain_epochs))
-    finally:
-        model.weighter.output_activation = activation
+    fit_regression(model.weighter, train.X, target, uniform,
+                   replace(config, epochs=config.pretrain_epochs))
     return model
 
 
@@ -167,7 +162,10 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
         raise ValueError("X, y and is_target must have matching lengths")
     scale = 1.0 if total_rows is None else total_rows / len(X)
 
+    # q's relu, in place on its output buffer; rows it zeroes get no
+    # weight and pass no gradient into q
     g, cache_q = _forward_cache(model.weighter, X)
+    np.maximum(g, 0.0, out=g)
     w = model.weight_scale * g
     out_h, cache_h = _forward_cache(model.task, X)
     out_hp, cache_hp = _forward_cache(model.adversary, X)
@@ -190,7 +188,7 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
     # the gap gradient's seed 2.0 * v * err_hp
     _backward(model.adversary, cache_hp, -2.0 * v * err_hp)
     factors = model.weight_scale * scale * (sq_h - sq_hp)
-    _backward(model.weighter, cache_q, factors)
+    _backward(model.weighter, cache_q, factors * (g > 0.0))
 
     adam_step(model.adversary, model.opt_adversary)
     adam_step(model.task, model.opt_task)

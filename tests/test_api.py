@@ -35,8 +35,7 @@ def test_every_exported_name_resolves():
 
 def test_readme_lists_the_accepted_method_params():
     text = " ".join(README.read_text("utf-8").split())
-    listed = re.search(r"`MethodSpec\.params` accepts (.*?) \(the runner",
-                       text)
+    listed = re.search(r"`MethodSpec\.params` accepts (.*?);", text)
     assert listed, "README.md does not list the MethodSpec.params keys"
     assert set(re.findall(r"`(\w+)`", listed.group(1))) == PARAM_KEYS
 

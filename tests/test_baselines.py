@@ -232,7 +232,9 @@ class TestKmmFaceSolve:
         config = KmmConfig(**settings)
         w = kmm_weights(Xs, Xt, config)
         assert len(calls) <= bound
-        assert KmmProblem(Xs, Xt, config).residual(w) <= config.tol
+        problem = KmmProblem(Xs, Xt, config)
+        assert problem.residual(w) <= config.tol
+        assert problem.lo <= w.sum() <= problem.hi
 
 
 def mixture_draw(seed):
@@ -476,8 +478,22 @@ class TestProjectBoxBand:
         assert total > hi if side == "above" else total < lo
         w = _project_box_band(v, B, lo, hi)
         assert (w >= 0.0).all() and (w <= B).all()
+        assert lo <= w.sum() <= hi  # exactly: rounding stays inside
         assert w.sum() == pytest.approx(hi if side == "above" else lo,
                                         rel=0, abs=1e-9)
+
+    def test_sum_never_rounds_past_the_edge(self):
+        # the midpoint of the last bisection bracket landed up to 4.5e-13
+        # past the edge on about a third of such draws
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            m = int(rng.integers(2, 901))
+            eps = float(rng.choice([1e-3, 0.02, 0.2]))
+            B = float(rng.choice([1.5, 4.0, 1000.0]))
+            lo, hi = m * (1 - eps), m * (1 + eps)
+            v = rng.normal(3.0 if rng.random() < 0.5 else -1.0, 2.0, size=m)
+            w = _project_box_band(v, B, lo, hi)
+            assert lo <= w.sum() <= hi
 
     def test_rejects_infeasible_band(self):
         with pytest.raises(ValueError, match="infeasible"):

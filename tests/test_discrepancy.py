@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wann import discrepancy
 from wann.data import LabeledSample, TrainingSet, gen_uniform_shift_1d, labeling_fn
 from wann.discrepancy import estimate_y_discrepancy, gap_weights
 from wann.training import (WannConfig, build_wann_model, fit_wann,
@@ -142,5 +143,15 @@ class TestValidation:
     def test_feature_mismatch_rejected(self):
         target = LabeledSample(np.ones((3, 3)), np.ones(3), "target")
         with pytest.raises(ValueError, match="feature"):
+            estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),
+                                   np.full(3, 1 / 3), target)
+
+    def test_empty_target_rejected_before_any_network(self, monkeypatch):
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(discrepancy, "build_mlp", no_network)
+        target = LabeledSample(np.ones((0, 2)), np.ones(0), "target")
+        with pytest.raises(ValueError, match="target sample is empty"):
             estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),
                                    np.full(3, 1 / 3), target)

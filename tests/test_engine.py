@@ -20,30 +20,19 @@ from wann.training import WannModel, build_wann_model, wann_step
 
 
 class RefNet:
-    """Per-layer copy of an Mlp with the per-layer engine and Adam."""
+    """Per-layer copy of an Mlp with the per-layer engine and Adam: relu
+    hidden layers and a linear output."""
 
     def __init__(self, net, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.weights = [layer.weights.copy() for layer in net.layers]
         self.biases = [layer.biases.copy() for layer in net.layers]
-        self.activations = [layer.activation for layer in net.layers]
         self.clip = net.clip
-        self.output_activation = net.output_activation
         self.m_w = [np.zeros_like(w) for w in self.weights]
         self.v_w = [np.zeros_like(w) for w in self.weights]
         self.m_b = [np.zeros_like(b) for b in self.biases]
         self.v_b = [np.zeros_like(b) for b in self.biases]
         self.step_count = 0
         self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
-
-    @staticmethod
-    def _act(z, name):
-        return np.maximum(z, 0.0) if name == "relu" else z
-
-    @staticmethod
-    def _act_grad(z, name):
-        if name == "relu":
-            return (z > 0.0).astype(np.float64)
-        return np.ones_like(z)
 
     def params(self):
         return np.concatenate([np.concatenate([w.ravel(), b])
@@ -52,22 +41,21 @@ class RefNet:
     def forward_cache(self, X):
         caches = []
         a = np.asarray(X, dtype=np.float64)
+        last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w + b
             caches.append((a, z))
-            a = self._act(z, self.activations[k])
-        z_out = a[:, 0]
-        caches.append(z_out)
-        return self._act(z_out, self.output_activation), caches
+            a = np.maximum(z, 0.0) if k < last else z
+        return a[:, 0], caches
 
     def backward(self, caches, d_out):
-        z_out = caches[-1]
-        delta = (d_out * self._act_grad(z_out, self.output_activation))[:, None]
+        delta = np.asarray(d_out, dtype=np.float64)[:, None]
         n = len(self.weights)
         d_w, d_b = [None] * n, [None] * n
         for k in range(n - 1, -1, -1):
             a_in, z = caches[k]
-            delta = delta * self._act_grad(z, self.activations[k])
+            if k < n - 1:
+                delta = delta * (z > 0.0).astype(np.float64)
             d_w[k] = a_in.T @ delta
             d_b[k] = delta.sum(axis=0)
             if k > 0:
@@ -104,9 +92,11 @@ class RefNet:
 
 def ref_wann_step(task, adversary, weighter, weight_scale, X, y, is_target,
                   total_rows):
-    """The per-layer descent-ascent step, adversary gradient negated last."""
+    """The per-layer descent-ascent step, adversary gradient negated last;
+    q's relu is applied to its linear output here, as ``wann_step`` does."""
     scale = total_rows / len(X)
-    g, cache_q = weighter.forward_cache(X)
+    q_out, cache_q = weighter.forward_cache(X)
+    g = np.maximum(q_out, 0.0)
     w = weight_scale * g
     out_h, cache_h = task.forward_cache(X)
     out_hp, cache_hp = adversary.forward_cache(X)
@@ -119,7 +109,7 @@ def ref_wann_step(task, adversary, weighter, weight_scale, X, y, is_target,
         v = v + is_target / n_b
     d_w, d_b = adversary.backward(cache_hp, 2.0 * v * err_hp)
     factors = weight_scale * scale * (sq_h - sq_hp)
-    grads_q = weighter.backward(cache_q, factors)
+    grads_q = weighter.backward(cache_q, factors * (q_out > 0.0))
     adversary.adam_step([-1.0 * g for g in d_w], [-1.0 * g for g in d_b])
     task.adam_step(*grads_h)
     weighter.adam_step(*grads_q)
@@ -133,21 +123,21 @@ def mixed_train(k, d, n_target, seed):
     return TrainingSet(X, labeling_fn(X), flags)
 
 
-def identity_hidden_model(d, seed):
-    """h, h' and q whose middle hidden layer has no relu."""
-    nets = []
-    for k in range(3):
-        net = build_mlp(d, (12, 8), clip=1.0, rng=np.random.default_rng(seed + k),
-                        output_activation="relu" if k == 2 else "identity")
-        net.layers[1].activation = "identity"
-        nets.append(net)
+def negative_q_model(d, seed, X):
+    """h, h' and q drawn apart, q's output bias set so its linear output
+    is negative on about half of the rows of X."""
+    nets = [build_mlp(d, (12, 8), clip=1.0,
+                      rng=np.random.default_rng(seed + k)) for k in range(3)]
+    q = nets[2]
+    q.layers[-1].biases -= np.median(forward(q, X))
     return WannModel(*nets, *(AdamState.for_net(net) for net in nets),
                      weight_scale=0.05)
 
 
 MODELS = {
-    "identity-hidden": lambda d: identity_hidden_model(d, 2),
-    "hidden-100-50": lambda d: build_wann_model(d, (100, 50), clip=1.0, seed=3),
+    "negative-q-rows": lambda d, X: negative_q_model(d, 2, X),
+    "hidden-100-50": lambda d, X: build_wann_model(d, (100, 50), clip=1.0,
+                                                   seed=3),
 }
 
 
@@ -155,8 +145,11 @@ MODELS = {
 def test_wann_steps_match_reference(kind):
     d, k, batch = 5, 23, 8
     train = mixed_train(k, d, 6, seed=4)
-    model = MODELS[kind](d)
-    if kind != "identity-hidden":
+    model = MODELS[kind](d, train.X)
+    if kind == "negative-q-rows":
+        q_out = forward(model.weighter, train.X)
+        assert (q_out < 0.0).sum() >= 5 and (q_out > 0.0).sum() >= 5
+    else:
         model.weight_scale = 1.0 / k
     nets = (model.task, model.adversary, model.weighter)
     refs = [RefNet(net) for net in nets]
@@ -226,8 +219,7 @@ def test_ascend_matches_reference(sign):
 
 
 def test_eval_forward_matches_reference_and_is_caller_owned():
-    net = build_mlp(6, (9, 7), output_activation="relu",
-                    rng=np.random.default_rng(13))
+    net = build_mlp(6, (9, 7), rng=np.random.default_rng(13))
     ref = RefNet(net)
     X = np.random.default_rng(14).normal(size=(40, 6))
     first = forward(net, X)

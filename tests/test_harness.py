@@ -199,11 +199,10 @@ class TestMethodSpec:
             MethodSpec("wann", {"epoch": 5})
         assert "'epochs'" in str(err.value)  # the accepted keys are listed
 
-    def test_accepted_keys_are_the_documented_twelve(self):
+    def test_accepted_keys_are_the_documented_eleven(self):
         assert PARAM_KEYS == {
             "hidden", "clip", "epochs", "batch_size", "lr", "pretrain_epochs",
-            "kernel_bandwidth", "B", "eps", "n_centers", "n_iterations",
-            "kind"}
+            "kernel_bandwidth", "B", "eps", "n_centers", "n_iterations"}
 
     @pytest.mark.parametrize("method", ["wann", "uniform", "tradaboost"])
     def test_predictions_kept_in_memory_only(self, method, tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,8 @@ from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
                      forward, weighted_mse_grad)
 
 
-def random_net(rng, n_in=3, hidden=(6, 4), clip=None, output="identity"):
-    return build_mlp(n_in, hidden, clip=clip, output_activation=output,
-                     rng=rng)
+def random_net(rng, n_in=3, hidden=(6, 4), clip=None):
+    return build_mlp(n_in, hidden, clip=clip, rng=rng)
 
 
 def flatten_params(net):
@@ -35,10 +37,10 @@ class TestForward:
         out = forward(net, np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(out, [3.0])
 
-    def test_zero_net_relu_output_is_zero(self):
-        layers = [DenseLayer(np.zeros((3, 4)), np.zeros(4), "relu"),
+    def test_zero_net_output_is_zero(self):
+        layers = [DenseLayer(np.zeros((3, 4)), np.zeros(4)),
                   DenseLayer(np.zeros((4, 1)), np.zeros(1))]
-        net = Mlp(layers, output_activation="relu")
+        net = Mlp(layers)
         out = forward(net, np.ones((5, 3)))
         np.testing.assert_array_equal(out, np.zeros(5))
 
@@ -48,17 +50,26 @@ class TestForward:
         b1 = np.array([0.1, -0.2])
         w2 = np.array([[1.5], [-0.5]])
         b2 = np.array([0.3])
-        net = Mlp([DenseLayer(w1, b1, "relu"), DenseLayer(w2, b2)])
+        net = Mlp([DenseLayer(w1, b1), DenseLayer(w2, b2)])
         X = np.array([[1.0, 2.0], [-0.5, 0.25]])
         hidden = np.maximum(X @ w1 + b1, 0.0)
         expected = (hidden @ w2 + b2)[:, 0]
         np.testing.assert_allclose(forward(net, X), expected, rtol=1e-15)
 
-    def test_relu_output_nonnegative(self):
+    def test_relu_hidden_layers_and_linear_output(self):
+        # the one network shape: a relu after every layer but the last
         rng = np.random.default_rng(0)
-        net = random_net(rng, output="relu")
-        out = forward(net, rng.normal(size=(20, 3)))
-        assert (out >= 0).all()
+        net = random_net(rng)
+        X = rng.normal(size=(20, 3))
+        # centre the output so that a relu on it would show
+        net.layers[-1].biases -= np.median(forward(net, X))
+        a = X
+        for layer in net.layers[:-1]:
+            a = np.maximum(a @ layer.weights + layer.biases, 0.0)
+        expected = (a @ net.layers[-1].weights + net.layers[-1].biases)[:, 0]
+        out = forward(net, X)
+        np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-15)
+        assert (out < 0.0).any() and (out > 0.0).any()
 
     def test_dimension_mismatch_rejected(self):
         net = random_net(np.random.default_rng(1))
@@ -88,12 +99,10 @@ class TestWeightedMseGrad:
         with pytest.raises(ValueError, match="same number"):
             weighted_mse_grad(net, np.ones((3, 3)), np.ones(2), np.ones(3))
 
-    @pytest.mark.parametrize("output,hidden", [
-        ("identity", (6, 4)), ("relu", (6, 4)), ("identity", ()),
-    ])
-    def test_matches_finite_differences(self, output, hidden):
+    @pytest.mark.parametrize("hidden", [(6, 4), (5,), ()])
+    def test_matches_finite_differences(self, hidden):
         rng = np.random.default_rng(5)
-        net = random_net(rng, hidden=hidden, output=output)
+        net = random_net(rng, hidden=hidden)
         X = rng.normal(size=(4, 3))
         y = rng.normal(size=4)
         w = rng.normal(size=4)  # signed weights supported
@@ -157,7 +166,7 @@ class TestWeightedOutputGrad:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        net = random_net(rng, output="relu")
+        net = random_net(rng)
         X = rng.normal(size=(4, 3))
         v = rng.normal(size=4)
         weighted_output_grad(net, X, v)
@@ -293,8 +302,6 @@ class TestBuildMlp:
         limit0 = np.sqrt(6.0 / 30)
         assert np.abs(net.layers[0].weights).max() <= limit0
         assert np.all(net.layers[0].biases == 0.0)
-        assert net.layers[0].activation == "relu"
-        assert net.layers[-1].activation == "identity"
 
     def test_incompatible_layers_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
@@ -318,3 +325,20 @@ class TestBuildMlp:
         net = spec.build(5, rng=np.random.default_rng(22))
         assert [l.n_outputs for l in net.layers] == [8, 4, 1]
         assert net.clip == 0.7
+
+
+class TestEngineKnobs:
+    """The engine's settable fields and parameters, pinned: a knob cannot
+    come back without an edit here."""
+
+    def test_dense_layer_fields(self):
+        assert [f.name for f in dataclasses.fields(DenseLayer)] == [
+            "weights", "biases"]
+
+    def test_mlp_init_fields(self):
+        assert [f.name for f in dataclasses.fields(Mlp) if f.init] == [
+            "layers", "clip"]
+
+    def test_build_mlp_parameters(self):
+        assert list(inspect.signature(build_mlp).parameters) == [
+            "n_inputs", "hidden", "clip", "rng"]

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 from wann import training
 from wann.data import TrainingSet, LabeledSample, labeling_fn
 from wann.nn import (AdamState, DenseLayer, Mlp, TrainingDivergedError,
-                     forward)
+                     _forward_cache, forward)
 from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
                            predict, pretrain_weighter, training_weights,
                            wann_step)
@@ -19,10 +19,9 @@ def small_train(k=60, d=3, n_target=15, seed=0):
     return TrainingSet(X, labeling_fn(X), flags)
 
 
-def linear_net(weights, bias, clip=None, output="identity"):
+def linear_net(weights, bias, clip=None):
     w = np.asarray(weights, dtype=float).reshape(-1, 1)
-    return Mlp([DenseLayer(w, np.array([float(bias)]))], clip=clip,
-               output_activation=output)
+    return Mlp([DenseLayer(w, np.array([float(bias)]))], clip=clip)
 
 
 def params_of(net):
@@ -40,12 +39,23 @@ class TestBuildModel:
         np.testing.assert_array_equal(params_of(model.task),
                                       params_of(model.adversary))
 
-    def test_weighter_relu_output(self):
-        model = build_wann_model(4, (8,), clip=1.0, seed=2)
-        assert model.weighter.output_activation == "relu"
-        with pytest.raises(ValueError, match="relu"):
-            WannModel(model.task, model.adversary, model.task,
-                      model.opt_task, model.opt_adversary, model.opt_weighter)
+    def test_weights_are_zero_where_q_is_negative(self):
+        # q is a plain network with a linear output; the relu that makes
+        # its weights nonnegative is the trainer's
+        train = small_train(seed=2)
+        model = build_wann_model(3, (8,), clip=1.0, seed=2)
+        model.weight_scale = 0.5
+        q = model.weighter
+        q.layers[-1].biases -= np.median(forward(q, train.X))
+        q_out = forward(q, train.X)
+        negative = q_out < 0.0
+        assert negative.sum() >= 10 and (q_out > 0.0).sum() >= 10
+        w = model.instance_weights(train.X)
+        np.testing.assert_array_equal(w, 0.5 * np.maximum(q_out, 0.0))
+        assert (w[negative] == 0.0).all() and (w[~negative] > 0.0).all()
+        tw = training_weights(model, train)
+        np.testing.assert_array_equal(tw.raw, w)
+        assert (tw.normalized[negative] == 0.0).all()
 
     def test_weighter_clip_defaults_to_task_clip(self):
         model = build_wann_model(4, (8,), clip=0.7, seed=3)
@@ -68,7 +78,32 @@ class TestPretrainWeighter:
         before = params_of(model.weighter).copy()
         pretrain_weighter(model, train, config)
         np.testing.assert_array_equal(params_of(model.weighter), before)
-        assert model.weighter.output_activation == "relu"
+
+    def test_leaves_the_weighter_structure_unchanged(self):
+        train = small_train(seed=5)
+        config = WannConfig(pretrain_epochs=3, batch_size=16, seed=5)
+        model = build_wann_model(3, (8, 6), clip=0.7, config=config)
+        q = model.weighter
+        layers = list(q.layers)
+        shapes = [(l.weights.shape, l.biases.shape) for l in layers]
+        before = q.params.copy()
+        pretrain_weighter(model, train, config)
+        assert model.weighter is q and len(q.layers) == len(layers)
+        assert all(a is b for a, b in zip(q.layers, layers))
+        assert [(l.weights.shape, l.biases.shape) for l in q.layers] == shapes
+        assert q.clip == 0.7
+        for layer in q.layers:
+            assert np.shares_memory(layer.weights, q.params)
+            assert np.shares_memory(layer.biases, q.params)
+        assert not np.array_equal(q.params, before)
+        # its output stays linear: the pretrained fit is not clamped
+        X = np.random.default_rng(5).normal(size=(4, 3))
+        a = X
+        for layer in q.layers[:-1]:
+            a = np.maximum(a @ layer.weights + layer.biases, 0.0)
+        top = q.layers[-1]
+        np.testing.assert_allclose(
+            forward(q, X), (a @ top.weights + top.biases)[:, 0], rtol=1e-14)
 
     def test_all_zero_weighter_learns_the_constant(self):
         # only the output bias can move, so give it room to travel to 1
@@ -165,10 +200,14 @@ class TestWannStep:
             wann_step(model, X, y, flags, epoch=17)
         assert err.value.epoch == 17
 
-    def test_one_step_matches_hand_derived_objective_gradients(self):
-        # 2 source rows + 1 target row, single linear layers, all
-        # pre-activations of q kept positive so its relu is locally
-        # the identity. Gradients of
+    # c = 0.8 keeps all of q's linear outputs positive (0.65, 1.05,
+    # 1.175), so its relu is locally the identity; c = 0 makes them
+    # -0.15, 0.25 and 0.375, so the relu zeroes the first row, which then
+    # leaves the weighted sums and passes no gradient into q
+    @pytest.mark.parametrize("c", [0.8, 0.0])
+    def test_one_step_matches_hand_derived_objective_gradients(self, c):
+        # 2 source rows + 1 target row, single linear layers. With
+        # q_i = relu(x_i . u + c), gradients of
         #   J = sum_i q_i (h(x_i)-y_i)^2 + (h'(x3)-y3)^2
         #       - sum_i q_i (h'(x_i)-y_i)^2
         # are written out longhand below, followed by one exact
@@ -181,20 +220,22 @@ class TestWannStep:
         ap = np.array([-0.3, 0.15])
         bp = -0.2
         u = np.array([0.1, 0.2])
-        c = 0.8  # q pre-activations: 0.65, 1.05, 1.175 (all positive)
         lr, eps, clip = 0.001, 1e-8, 1.0
 
         model = WannModel(
             task=linear_net(a, b, clip=clip),
             adversary=linear_net(ap, bp, clip=clip),
-            weighter=linear_net(u, c, clip=clip, output="relu"),
+            weighter=linear_net(u, c, clip=clip),
             opt_task=AdamState.for_net(linear_net(a, b), lr=lr),
             opt_adversary=AdamState.for_net(linear_net(ap, bp), lr=lr),
             opt_weighter=AdamState.for_net(linear_net(u, c), lr=lr),
         )
         diag = wann_step(model, X, y, flags)
 
-        q = X @ u + c
+        pre = X @ u + c
+        active = (pre > 0.0).astype(float)
+        assert active.tolist() == ([1.0, 1.0, 1.0] if c else [0.0, 1.0, 1.0])
+        q = active * pre
         e_h = X @ a + b - y
         e_hp = X @ ap + bp - y
         t = flags.astype(float)
@@ -209,8 +250,11 @@ class TestWannStep:
         grad_b = 2.0 * np.sum(q * e_h)
         gap_a = 2.0 * ((t - q) * e_hp) @ X  # n_b = 1
         gap_b = 2.0 * np.sum((t - q) * e_hp)
-        grad_u = (e_h ** 2 - e_hp ** 2) @ X
-        grad_c = np.sum(e_h ** 2 - e_hp ** 2)
+        grad_u = (active * (e_h ** 2 - e_hp ** 2)) @ X
+        grad_c = np.sum(active * (e_h ** 2 - e_hp ** 2))
+        # the step leaves q's gradient in q.grad: weights, then bias
+        np.testing.assert_allclose(model.weighter.grad, [*grad_u, grad_c],
+                                   rtol=1e-14, atol=0)
 
         want_a = np.clip(adam_first_step(a, grad_a, lr, eps), -clip, clip)
         want_b = np.clip(adam_first_step(b, grad_b, lr, eps), -clip, clip)
@@ -231,6 +275,44 @@ class TestWannStep:
                                    want_u, rtol=0, atol=1e-10)
         np.testing.assert_allclose(model.weighter.layers[0].biases[0],
                                    want_c, rtol=0, atol=1e-10)
+
+    def test_weighter_gradient_matches_finite_differences(self):
+        # q's gradient, left in q.grad by the step, is the gradient of
+        # weight_scale * scale * sum_i relu(q(x_i)) (sq_h_i - sq_hp_i)
+        # at the step's snapshot of h and h'; some rows of q are negative
+        train = small_train(k=40, d=3, n_target=10, seed=30)
+        idx = np.arange(12)
+        X, y, flags = train.X[idx], train.y[idx], train.is_target[idx]
+        model = build_wann_model(3, (6, 5), clip=1.0, seed=30)
+        model.weight_scale = 1.0 / len(train)
+        q = model.weighter
+        q.layers[-1].biases -= np.median(forward(q, X))
+        assert (forward(q, X) < 0.0).sum() >= 4
+        for layer in model.adversary.layers:
+            layer.weights *= 0.5  # h' apart from h, so the factors differ
+        sq_h = (forward(model.task, X) - y) ** 2
+        sq_hp = (forward(model.adversary, X) - y) ** 2
+        probe = q.copy()
+        start = probe.params.copy()
+        scale = len(train) / len(X)
+
+        def objective(params):
+            probe.params[:] = params
+            out, _ = _forward_cache(probe, X)
+            return float(model.weight_scale * scale
+                         * np.dot(np.maximum(out, 0.0), sq_h - sq_hp))
+
+        wann_step(model, X, y, flags, total_rows=len(train))
+        fd = np.empty_like(start)
+        for k in range(len(start)):
+            bumped = start.copy()
+            bumped[k] += 1e-6
+            up = objective(bumped)
+            bumped[k] -= 2e-6
+            fd[k] = (up - objective(bumped)) / 2e-6
+        assert np.abs(fd).max() > 0.0
+        np.testing.assert_allclose(q.grad, fd, rtol=1e-5,
+                                   atol=1e-8 * np.abs(fd).max())
 
 
 class TestFitWann:
