@@ -17,23 +17,22 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import KliepConfig, KmmConfig, TradaboostConfig
-from .data import (CsvSchema, MixtureShiftSpec, TrainingSet,
-                   gen_uniform_shift_1d, load_csv)
+from .data import (CsvSchema, LabeledSample, MixtureShiftSpec, TrainingSet,
+                   csv_feature_cols, gen_uniform_shift_1d, load_csv)
 from .discrepancy import ASCENT_EPOCHS, estimate_y_discrepancy
-from .harness import ExperimentConfig, MethodSpec, run_experiment, run_method
+from .harness import (RUNNERS, ExperimentConfig, MethodSpec, run_experiment,
+                      run_method)
 from .nn import ArchSpec, FitConfig
 from .results import format_real, parse_kv_lines, write_run_file
 from .svgplot import Line, Points, write_chart
 from .training import WannConfig
 
-METHOD_CHOICES = ("wann", "uniform", "target-only", "kmm", "kliep",
-                  "tradaboost")
+METHOD_CHOICES = tuple(name.replace("_", "-") for name in RUNNERS)
 
 
 def _seed(raw: str) -> int:
@@ -255,20 +254,24 @@ def cmd_synth_bench(args) -> int:
     return 0
 
 
-def _load_train_csv(args) -> TrainingSet:
-    schema = CsvSchema(label_col=args.target_col, domain_col=args.domain_col)
-    data = load_csv(args.train, schema)
-    if not isinstance(data, TrainingSet):
-        raise ValueError("training CSV needs a domain column")
-    return data
+def _load_target_like(path: str, first_path: str, schema: CsvSchema
+                      ) -> LabeledSample:
+    """Load ``path`` as target rows. Its features are the columns named
+    like the features of ``first_path`` under ``schema``, taken by name
+    and put in ``first_path``'s order."""
+    names = csv_feature_cols(first_path, schema)
+    return load_csv(path, CsvSchema(label_col=schema.label_col,
+                                    feature_cols=names, domain="target"))
 
 
 def cmd_fit(args) -> int:
-    train = _load_train_csv(args)
+    schema = CsvSchema(label_col=args.target_col, domain_col=args.domain_col)
+    train = load_csv(args.train, schema)
+    if not isinstance(train, TrainingSet):
+        raise ValueError("training CSV needs a domain column")
     test = None
     if args.test is not None:
-        test = load_csv(args.test, CsvSchema(label_col=args.target_col,
-                                             domain="target"))
+        test = _load_target_like(args.test, args.train, schema)
     method = args.method.replace("-", "_")
     params = dict(_net_params(args), pretrain_epochs=args.pretrain_epochs,
                   kernel_bandwidth=args.bandwidth, B=args.kmm_b,
@@ -311,12 +314,12 @@ def cmd_fit(args) -> int:
 def cmd_ydisc(args) -> int:
     schema = CsvSchema(label_col=args.target_col)
     source = load_csv(args.source, schema)
-    target = load_csv(args.target, replace(schema, domain="target"))
+    target = _load_target_like(args.target, args.source, schema)
     weights = np.full(len(source), 1.0 / len(source))
     estimate = estimate_y_discrepancy(
         source.X, source.y, weights, target,
-        hidden=tuple(args.hidden), clip=args.clip, epochs=args.epochs,
-        batch_size=args.batch_size, lr=args.lr, seed=args.seed)
+        arch=ArchSpec(tuple(args.hidden), args.clip),
+        config=FitConfig(args.epochs, args.batch_size, args.lr, args.seed))
     print(f"estimate = {format_real(estimate.value)}")
     print(f"positive_side = {format_real(estimate.positive_side)}")
     print(f"negative_side = {format_real(estimate.negative_side)}")

@@ -274,6 +274,43 @@ def _raise_first_error(path: Path, header: list[str], feature_cols: list[str],
     raise CsvFormatError(f"{path}: {cause}")
 
 
+def _read_header(fh, path: Path, schema: CsvSchema
+                 ) -> tuple[list[str], list[str]]:
+    """Read the header row of an open CSV file and check it against
+    ``schema``; returns the header and the feature columns, in order."""
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file") from None
+    repeated = _repeated(header)
+    if repeated is not None:
+        raise CsvFormatError(f"{path}: repeated column {repeated!r}")
+    needed = [schema.label_col]
+    if schema.domain_col is not None:
+        needed.append(schema.domain_col)
+    if schema.feature_cols is not None:
+        needed.extend(schema.feature_cols)
+    for col in needed:
+        if col not in header:
+            raise CsvFormatError(f"{path}: missing column {col!r}")
+    feature_cols = schema.feature_cols
+    if feature_cols is None:
+        feature_cols = [c for c in header
+                        if c != schema.label_col and c != schema.domain_col]
+    if not feature_cols:
+        raise CsvFormatError(f"{path}: no feature columns")
+    return header, feature_cols
+
+
+def csv_feature_cols(path: str | Path, schema: CsvSchema | None = None
+                     ) -> list[str]:
+    """Names of the feature columns ``load_csv(path, schema)`` returns,
+    in the order of its ``X``; only the header row is read."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return _read_header(fh, path, schema or CsvSchema())[1]
+
+
 def _repeated(names: list[str]) -> str | None:
     seen = set()
     for name in names:
@@ -303,29 +340,7 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None
     schema = schema or CsvSchema()
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        repeated = _repeated(header)
-        if repeated is not None:
-            raise CsvFormatError(f"{path}: repeated column {repeated!r}")
-        needed = [schema.label_col]
-        if schema.domain_col is not None:
-            needed.append(schema.domain_col)
-        if schema.feature_cols is not None:
-            needed.extend(schema.feature_cols)
-        for col in needed:
-            if col not in header:
-                raise CsvFormatError(f"{path}: missing column {col!r}")
-        feature_cols = schema.feature_cols
-        if feature_cols is None:
-            feature_cols = [c for c in header
-                            if c != schema.label_col and c != schema.domain_col]
-        if not feature_cols:
-            raise CsvFormatError(f"{path}: no feature columns")
-
+        header, feature_cols = _read_header(fh, path, schema)
         converters = None
         if schema.domain_col is not None:
             converters = {header.index(schema.domain_col): _domain_flag}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import LabeledSample
 from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
-                 adam_step, build_mlp, forward, weighted_mse_grad)
+                 adam_step, forward, weighted_mse_grad)
 
 # default ascent budget per side, shorter than the training protocol's
 ASCENT_EPOCHS = 100
@@ -61,20 +61,19 @@ def _signed_gap(net: Mlp, src_x, src_y, src_w, tgt_x, tgt_y) -> float:
 
 
 def _ascend(net: Mlp, sign: float, src_x, src_y, src_w, tgt_x, tgt_y,
-            epochs: int, batch_size: int, lr: float,
-            rng: np.random.Generator) -> float:
+            config: FitConfig, rng: np.random.Generator) -> float:
     """Gradient-ascend sign*d, returning the best |d| seen on full data."""
     X = np.concatenate([src_x, tgt_x])
     y = np.concatenate([src_y, tgt_y])
     flags = np.concatenate([np.zeros(len(src_x), dtype=bool),
                             np.ones(len(tgt_x), dtype=bool)])
     w_full = np.concatenate([src_w, np.zeros(len(tgt_x))])
-    state = AdamState.for_net(net, lr=lr)
+    state = AdamState.for_net(net, lr=config.lr)
     best = abs(_signed_gap(net, src_x, src_y, src_w, tgt_x, tgt_y))
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(len(X))
-        for start in range(0, len(X), batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, len(X), config.batch_size):
+            idx = order[start:start + config.batch_size]
             v = gap_weights(w_full[idx], flags[idx], len(X) / len(idx))
             # ascend sign * d: descend on the loss with weights -sign * v
             weighted_mse_grad(net, X[idx], y[idx], -sign * v)
@@ -88,19 +87,18 @@ def _ascend(net: Mlp, sign: float, src_x, src_y, src_w, tgt_x, tgt_y,
 
 def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
                            source_w: np.ndarray, target: LabeledSample, *,
-                           hidden: tuple[int, ...] = ArchSpec.hidden,
-                           clip: float = ArchSpec.clip,
-                           epochs: int = ASCENT_EPOCHS,
-                           batch_size: int = FitConfig.batch_size,
-                           lr: float = FitConfig.lr, seed: int = 0,
+                           arch: ArchSpec | None = None,
+                           config: FitConfig | None = None,
                            init_net: Mlp | None = None) -> DiscrepancyEstimate:
     """Two-sided adversarial estimate of the maximal risk gap.
 
     ``source_w`` are fixed nonnegative instance weights (a weighted
-    empirical source distribution). Both adversaries start from
-    ``init_net`` when given, otherwise from fresh seeded
-    initializations. The running best is evaluated before training and
-    after every epoch, so a larger epoch budget never lowers the
+    empirical source distribution). ``arch`` is the hypothesis class
+    (default ``ArchSpec()``) and ``config`` the ascent schedule and seed
+    (default ``FitConfig(epochs=ASCENT_EPOCHS)``). Both adversaries
+    start from ``init_net`` when given, otherwise from fresh seeded
+    members of ``arch``. The running best is evaluated before training
+    and after every epoch, so a larger epoch budget never lowers the
     estimate.
     """
     source_x = np.asarray(source_x, dtype=np.float64)
@@ -115,15 +113,17 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     if len(target.X) == 0:
         raise ValueError("target sample is empty")
 
-    init_rng = np.random.default_rng(seed)
+    arch = arch or ArchSpec()
+    config = config or FitConfig(epochs=ASCENT_EPOCHS)
+    seed = config.seed
     if init_net is not None:
         net_pos, net_neg = init_net.copy(), init_net.copy()
     else:
-        net_pos = build_mlp(source_x.shape[1], hidden, clip=clip, rng=init_rng)
-        net_neg = build_mlp(source_x.shape[1], hidden, clip=clip, rng=init_rng)
+        init_rng = np.random.default_rng(seed)
+        net_pos = arch.build(source_x.shape[1], rng=init_rng)
+        net_neg = arch.build(source_x.shape[1], rng=init_rng)
 
-    args = (source_x, source_y, source_w, target.X, target.y,
-            epochs, batch_size, lr)
+    args = (source_x, source_y, source_w, target.X, target.y, config)
     pos = _ascend(net_pos, 1.0, *args, rng=np.random.default_rng([seed, 1]))
     neg = _ascend(net_neg, -1.0, *args, rng=np.random.default_rng([seed, 2]))
     return DiscrepancyEstimate(max(pos, neg), pos, neg)

@@ -116,9 +116,7 @@ def _trace_result(method, seed, net, trace, validation) -> RunResult:
 
 def _run_wann(train, validation, seed, params) -> RunResult:
     config = WannConfig(seed=seed, **_pick(params, _FIT_KEYS + _WANN_KEYS))
-    arch = _arch(params)
-    model = build_wann_model(train.X.shape[1], arch.hidden, clip=arch.clip,
-                             config=config)
+    model = build_wann_model(train.X.shape[1], _arch(params), config)
     pretrain_weighter(model, train, config)
     return fit_wann(model, train, config, validation)
 
@@ -193,12 +191,21 @@ RUNNERS = {
 
 def run_method(spec: MethodSpec, train: TrainingSet,
                validation: LabeledSample | None, seed: int) -> RunResult:
-    """Run one method, capturing failures as an error-tagged result."""
+    """Run one method, capturing failures as an error-tagged result.
+
+    A validation sample whose width differs from the training set's is
+    such a failure, found before the method starts.
+    """
     if spec.name not in RUNNERS:
         raise ValueError(f"unknown method {spec.name!r}; "
                          f"choices: {sorted(RUNNERS)}")
     start = time.perf_counter()
     try:
+        if (validation is not None
+                and validation.X.shape[1] != train.X.shape[1]):
+            raise ValueError(
+                f"validation sample has {validation.X.shape[1]} features, "
+                f"training set has {train.X.shape[1]}")
         result = RUNNERS[spec.name](train, validation, seed, spec.params)
     except Exception as exc:
         result = RunResult(method=spec.name, seed=seed,

@@ -7,6 +7,7 @@ float64 and deterministic given a seed; no autodiff framework involved.
 Every network has one shape: a relu after each layer but the last and a
 linear scalar output. A caller that needs a nonnegative output (the
 weighting network of ``wann.training``) applies its own relu to it.
+Every network is clipped: its parameters stay in [-clip, clip].
 
 Memory layout: an ``Mlp`` keeps every parameter in one contiguous
 vector, ``Mlp.params``, and each layer's ``weights`` and ``biases`` are
@@ -20,7 +21,9 @@ large blocks back and forth with the operating system on every batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -46,6 +49,12 @@ def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
         bias_views.append(flat[at:at + b.size].reshape(b.shape))
         at += b.size
     return flat, weight_views, bias_views
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number > 0."""
+    if not (isinstance(value, Real) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -87,7 +96,8 @@ class Mlp:
     output.
 
     ``clip`` is the weight-clipping constant: after every optimizer step
-    all weights and biases are projected onto [-clip, clip].
+    all weights and biases are projected onto [-clip, clip]. Every
+    network is clipped.
 
     The network takes over its layers' storage: ``params`` holds every
     parameter, layer by layer, and the layers' arrays become views
@@ -96,7 +106,7 @@ class Mlp:
     """
 
     layers: list[DenseLayer]
-    clip: float | None = None
+    clip: float
     params: np.ndarray = field(init=False, repr=False, compare=False)
     grad: np.ndarray = field(init=False, repr=False, compare=False)
     # per-layer views into ``grad`` that the backward pass writes
@@ -117,8 +127,10 @@ class Mlp:
                 raise ValueError(
                     f"layer dims incompatible: {prev.n_outputs} -> {nxt.n_inputs}"
                 )
-        if self.clip is not None and self.clip <= 0:
-            raise ValueError("clip constant must be positive")
+        for k, layer in enumerate(self.layers):
+            if layer.n_outputs < 1:
+                raise ValueError(f"layer {k} has 0 units")
+        _require_positive("clip", self.clip)
         self.params, weights, biases = _pack(
             [layer.weights for layer in self.layers],
             [layer.biases for layer in self.layers])
@@ -143,10 +155,14 @@ class Mlp:
 
 @dataclass
 class ArchSpec:
-    """Architecture class: hidden widths and clip constant."""
+    """Architecture class: hidden widths and clip constant.
+
+    ``build`` makes an ``Mlp``, which rejects a width of 0 and a clip
+    that is not finite and positive.
+    """
 
     hidden: tuple[int, ...] = (100, 100)
-    clip: float | None = 1.0
+    clip: float = 1.0
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
@@ -156,10 +172,11 @@ class ArchSpec:
 
 
 def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
-              clip: float | None = None, rng: np.random.Generator) -> Mlp:
+              clip: float = ArchSpec.clip, rng: np.random.Generator) -> Mlp:
     """Create an MLP with relu hidden layers and a linear scalar output.
 
-    Weights are Glorot-uniform from ``rng``, biases zero.
+    Weights are Glorot-uniform from ``rng``, biases zero, and then
+    clipped.
     """
     dims = [n_inputs, *hidden, 1]
     layers = []
@@ -168,10 +185,7 @@ def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         layers.append(DenseLayer(weights, np.zeros(fan_out)))
-    net = Mlp(layers, clip=clip)
-    if clip is not None:
-        clip_weights(net)
-    return net
+    return clip_weights(Mlp(layers, clip=clip))
 
 
 def _forward_cache(net: Mlp, X: np.ndarray):
@@ -269,13 +283,21 @@ class FitConfig:
 
     The defaults are the paper's protocol (300 epochs of batch 128,
     Adam at lr 0.001); every other default in the package that concerns
-    training refers back to this class.
+    training refers back to this class. Every trainer takes its schedule
+    from here, so a bad value fails when the configuration is made.
     """
 
     epochs: int = 300
     batch_size: int = 128
     lr: float = 0.001
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        _require_positive("lr", self.lr)
 
 
 @dataclass
@@ -332,14 +354,11 @@ def adam_step(net: Mlp, state: AdamState) -> None:
     t *= state.lr
     t /= s
     net.params -= t
-    if net.clip is not None:
-        clip_weights(net)
+    clip_weights(net)
 
 
 def clip_weights(net: Mlp) -> Mlp:
     """Project every weight and bias onto [-clip, clip], in place."""
-    if net.clip is None:
-        raise ValueError("network has no clip constant")
     np.clip(net.params, -net.clip, net.clip, out=net.params)
     return net
 
@@ -375,8 +394,6 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
         raise ValueError("empty training set")
     if not (len(X) == len(y) == len(w)):
         raise ValueError("X, y and w must have the same number of rows")
-    if config.batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(config.seed)
     state = AdamState.for_net(net, lr=config.lr)
     trace = FitTrace()

@@ -24,8 +24,8 @@ import numpy as np
 from .data import LabeledSample, TrainingSet
 from .discrepancy import gap_weights
 from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
-                 _backward, _forward_cache, adam_step, build_mlp,
-                 fit_regression, forward)
+                 _backward, _forward_cache, adam_step, fit_regression,
+                 forward)
 from .results import RunResult, compute_metrics
 
 
@@ -39,6 +39,12 @@ class WannConfig(FitConfig):
     """
 
     pretrain_epochs: int = 50
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.pretrain_epochs < 0:
+            raise ValueError(
+                f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
 
 
 @dataclass
@@ -73,25 +79,25 @@ class WannModel:
         return self.weight_scale * np.maximum(forward(self.weighter, X), 0.0)
 
 
-def build_wann_model(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden,
-                     *, clip: float | None = ArchSpec.clip,
-                     config: WannConfig | None = None,
-                     seed: int | None = None) -> WannModel:
-    """Create a fresh model: h, h' and q in one architecture class.
+def build_wann_model(n_inputs: int, arch: ArchSpec | None = None,
+                     config: FitConfig | None = None) -> WannModel:
+    """Create a fresh model: h, h' and q in the class ``arch``.
 
-    ``seed`` defaults to the config seed; h, h' and q are drawn
-    sequentially from one generator stream.
+    h and q are drawn sequentially from one generator stream seeded
+    with ``config.seed``; the optimizers take ``config.lr``. Defaults:
+    ``ArchSpec()`` and ``WannConfig()``.
     """
+    arch = arch or ArchSpec()
     config = config or WannConfig()
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    task = build_mlp(n_inputs, hidden, clip=clip, rng=rng)
+    rng = np.random.default_rng(config.seed)
+    task = arch.build(n_inputs, rng=rng)
     # The adversary starts at the task's parameters: their loss
     # difference, which drives the weighter, is then exactly zero at
     # step one and grows out of the adversarial play itself. Distinct
     # random starts instead hand the weighter several full-size steps
     # of pure initialization luck, enough to saturate its relu output.
     adversary = task.copy()
-    weighter = build_mlp(n_inputs, hidden, clip=clip, rng=rng)
+    weighter = arch.build(n_inputs, rng=rng)
     nets = (task, adversary, weighter)
     return WannModel(*nets, *(AdamState.for_net(net, lr=config.lr)
                               for net in nets))
@@ -138,8 +144,7 @@ class StepDiagnostics:
 
 
 def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
-              is_target: np.ndarray, epoch: int = 0,
-              total_rows: int | None = None
+              is_target: np.ndarray, total_rows: int, epoch: int = 0
               ) -> StepDiagnostics:
     """One gradient descent-ascent step on a batch.
 
@@ -153,14 +158,14 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
     drawn from. The weighted sums over a batch understate the full-set
     sums by batch/total while the target-risk mean is already unbiased,
     so the update gradients rescale the weighted terms by total/batch.
-    Left unset, the batch is treated as the whole set.
+    ``epoch`` only labels a ``TrainingDivergedError``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     is_target = np.asarray(is_target, dtype=bool)
     if not (len(X) == len(y) == len(is_target)):
         raise ValueError("X, y and is_target must have matching lengths")
-    scale = 1.0 if total_rows is None else total_rows / len(X)
+    scale = total_rows / len(X)
 
     # q's relu, in place on its output buffer; rows it zeroes get no
     # weight and pass no gradient into q
@@ -207,8 +212,6 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
     ``fit_regression``. Deterministic per seed; mutates the model.
     """
     _require_both_domains(train)
-    if config.batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     rng = np.random.default_rng(config.seed)
     curve: list[float] = []
     pred = None
@@ -217,8 +220,7 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
         for start in range(0, len(train), config.batch_size):
             idx = order[start:start + config.batch_size]
             wann_step(model, train.X[idx], train.y[idx],
-                      train.is_target[idx], epoch=epoch,
-                      total_rows=len(train))
+                      train.is_target[idx], len(train), epoch)
         if validation is not None:
             pred = forward(model.task, validation.X)
             curve.append(float(np.mean((pred - validation.y) ** 2)))

@@ -123,7 +123,7 @@ def test_criterion_02_step_oracle():
                       AdamState.for_net(lin(a, b), lr=lr),
                       AdamState.for_net(lin(ap, bp), lr=lr),
                       AdamState.for_net(lin(u, c), lr=lr))
-    diag = wann_step(model, X, y, flags)
+    diag = wann_step(model, X, y, flags, len(X))
 
     q = X @ u + c
     e_h = X @ a + b - y
@@ -183,7 +183,7 @@ def test_criterion_04_weight_bimodality():
     data = gen_mixture_shift(MixtureShiftSpec(dim=256, m=1000, seed=0))
     config = WannConfig(epochs=300, batch_size=128, pretrain_epochs=50,
                         seed=0)
-    model = build_wann_model(256, (100, 100), clip=1.0, config=config)
+    model = build_wann_model(256, ArchSpec((100, 100)), config)
     pretrain_weighter(model, data.train, config)
     fit_wann(model, data.train, config)
     weights = training_weights(model, data.train)
@@ -200,7 +200,8 @@ def test_criterion_05_ydisc_identity_and_shift():
     y = labeling_fn(X)
     identical = estimate_y_discrepancy(
         X, y, np.full(50, 1 / 50), LabeledSample(X.copy(), y.copy(), "target"),
-        hidden=(16,), clip=1.0, epochs=5, batch_size=16, seed=0)
+        arch=ArchSpec((16,)),
+        config=FitConfig(epochs=5, batch_size=16, seed=0))
     assert identical.value <= 1e-6
 
     train, _ = gen_uniform_shift_1d(80, 40, seed=1)
@@ -208,7 +209,8 @@ def test_criterion_05_ydisc_identity_and_shift():
     tgt = train.target_rows()
     shifted = estimate_y_discrepancy(
         src.X, src.y, np.full(len(src), 1 / len(src)), tgt,
-        hidden=(16,), clip=1.0, epochs=20, batch_size=32, seed=1)
+        arch=ArchSpec((16,)),
+        config=FitConfig(epochs=20, batch_size=32, seed=1))
     assert shifted.value > 0.0
 
 
@@ -316,7 +318,7 @@ def test_supplementary_generalization_to_fresh_target_draw():
     data = gen_mixture_shift(MixtureShiftSpec(dim=64, m=1000, seed=0))
     config = WannConfig(epochs=300, batch_size=128, pretrain_epochs=50,
                         seed=0)
-    model = build_wann_model(64, (100, 100), clip=1.0, config=config)
+    model = build_wann_model(64, ArchSpec((100, 100)), config)
     pretrain_weighter(model, data.train, config)
     result = fit_wann(model, data.train, config, validation=data.validation)
 
@@ -348,7 +350,7 @@ def test_criterion_10_aa_no_harm():
         train, val = gen_same_distribution(8, 1000, seed)
         config = WannConfig(epochs=300, batch_size=128, pretrain_epochs=50,
                             seed=seed)
-        model = build_wann_model(8, (100, 100), clip=1.0, config=config)
+        model = build_wann_model(8, ArchSpec((100, 100)), config)
         pretrain_weighter(model, train, config)
         result = fit_wann(model, train, config, validation=val)
         wann_mses.append(result.final_mse)

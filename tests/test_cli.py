@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from wann.data import CsvSchema, gen_uniform_shift_1d, save_csv
+from wann.cli import METHOD_CHOICES
+from wann.data import (CsvSchema, LabeledSample, MixtureShiftSpec,
+                       gen_mixture_shift, gen_uniform_shift_1d, save_csv)
 
 FAST_NET = ["--hidden", "6", "--epochs", "3", "--batch-size", "16",
             "--pretrain-epochs", "3"]
@@ -33,6 +35,25 @@ def shift_csvs(tmp_path_factory):
     save_csv(root / "test.csv", grid)
     save_csv(root / "source.csv", train.source_rows())
     save_csv(root / "target.csv", train.target_rows())
+    return root
+
+
+@pytest.fixture(scope="module")
+def two_feature_csvs(tmp_path_factory):
+    """A dim-2 draw, plus copies of its test file with the feature
+    columns swapped and with column x1 left out."""
+    root = tmp_path_factory.mktemp("csvs2")
+    draw = gen_mixture_shift(MixtureShiftSpec(dim=2, m=60, n_validation=30,
+                                              seed=8))
+    save_csv(root / "train.csv", draw.train, CsvSchema(domain_col="domain"))
+    save_csv(root / "source.csv", draw.train.source_rows())
+    test = draw.validation
+    save_csv(root / "test.csv", test)
+    save_csv(root / "swapped.csv",
+             LabeledSample(test.X[:, ::-1], test.y, "target"),
+             CsvSchema(feature_cols=["x1", "x0"]))
+    save_csv(root / "no_x1.csv",
+             LabeledSample(test.X[:, :1], test.y, "target"))
     return root
 
 
@@ -165,6 +186,33 @@ class TestFit:
         lines = (out / "weights.txt").read_text().strip().split("\n")
         assert len(lines) == 40
 
+    def test_method_choices_are_the_runners(self):
+        assert METHOD_CHOICES == ("wann", "uniform", "target-only", "kmm",
+                                  "kliep", "tradaboost")
+
+    def test_test_file_columns_taken_by_name(self, two_feature_csvs,
+                                             tmp_path):
+        outputs = []
+        for name in ("test", "swapped"):
+            out = tmp_path / name
+            proc = run_cli("fit", "--method", "uniform",
+                           "--train", str(two_feature_csvs / "train.csv"),
+                           "--test", str(two_feature_csvs / f"{name}.csv"),
+                           "--out", str(out), "--seed", "1", *FAST_NET)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, (out / "metrics.txt").read_bytes(),
+                            (out / "uniform_1.txt").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_test_file_missing_feature_column(self, two_feature_csvs,
+                                              tmp_path):
+        proc = run_cli("fit", "--method", "uniform",
+                       "--train", str(two_feature_csvs / "train.csv"),
+                       "--test", str(two_feature_csvs / "no_x1.csv"),
+                       "--out", str(tmp_path / "o"), *FAST_NET)
+        assert proc.returncode == 1
+        assert "missing column 'x1'" in proc.stderr
+
     def test_unknown_method_lists_choices(self, shift_csvs, tmp_path):
         proc = run_cli("fit", "--method", "bogus",
                        "--train", str(shift_csvs / "train.csv"),
@@ -200,6 +248,22 @@ class TestYdisc:
         assert value > 0.0
         assert "positive_side" in proc.stdout
         assert "negative_side" in proc.stdout
+
+    def test_target_file_columns_taken_by_name(self, two_feature_csvs):
+        source = str(two_feature_csvs / "source.csv")
+        runs = [run_cli("ydisc", "--source", source,
+                        "--target", str(two_feature_csvs / f"{name}.csv"),
+                        "--epochs", "3", "--hidden", "6", "--seed", "4")
+                for name in ("test", "swapped")]
+        assert [p.returncode for p in runs] == [0, 0], runs[1].stderr
+        assert runs[0].stdout == runs[1].stdout
+
+    def test_target_file_missing_feature_column(self, two_feature_csvs):
+        proc = run_cli("ydisc",
+                       "--source", str(two_feature_csvs / "source.csv"),
+                       "--target", str(two_feature_csvs / "no_x1.csv"))
+        assert proc.returncode == 1
+        assert "missing column 'x1'" in proc.stderr
 
     def test_missing_file_io_error(self, tmp_path):
         proc = run_cli("ydisc", "--source", str(tmp_path / "nope.csv"),

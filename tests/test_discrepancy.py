@@ -4,6 +4,7 @@ import pytest
 from wann import discrepancy
 from wann.data import LabeledSample, TrainingSet, gen_uniform_shift_1d, labeling_fn
 from wann.discrepancy import estimate_y_discrepancy, gap_weights
+from wann.nn import ArchSpec, FitConfig
 from wann.training import (WannConfig, build_wann_model, fit_wann,
                            pretrain_weighter, training_weights)
 
@@ -15,8 +16,8 @@ class TestIdentityCase:
         y = rng.normal(size=30)
         target = LabeledSample(X.copy(), y.copy(), "target")
         est = estimate_y_discrepancy(X, y, np.full(30, 1 / 30), target,
-                                     hidden=(8,), clip=1.0, epochs=4,
-                                     batch_size=16, seed=0)
+                                     arch=ArchSpec((8,)),
+                                     config=FitConfig(4, 16, seed=0))
         assert est.value <= 1e-6
         assert est.positive_side <= 1e-6
         assert est.negative_side <= 1e-6
@@ -56,8 +57,8 @@ class TestShiftCase:
         tgt = train.target_rows()
         est = estimate_y_discrepancy(src.X, src.y,
                                      np.full(len(src), 1 / len(src)), tgt,
-                                     hidden=(16,), clip=1.0, epochs=20,
-                                     batch_size=32, seed=1)
+                                     arch=ArchSpec((16,)),
+                                     config=FitConfig(20, 32, seed=1))
         assert est.value > 0.0
 
 
@@ -70,9 +71,9 @@ class TestMonotoneBudget:
         target = LabeledSample(tgt_x, labeling_fn(tgt_x), "target")
         w = np.full(40, 1 / 40)
         values = [estimate_y_discrepancy(src_x, src_y, w, target,
-                                         hidden=(8,), clip=0.5,
-                                         epochs=epochs, batch_size=16,
-                                         seed=5).value
+                                         arch=ArchSpec((8,), 0.5),
+                                         config=FitConfig(epochs, 16,
+                                                          seed=5)).value
                   for epochs in (0, 3, 10, 25)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
@@ -99,9 +100,9 @@ class TestGridOracle:
 
         true_max = np.abs(gap(A, B)).max()
         target = LabeledSample(tgt_x, tgt_y, "target")
-        est = estimate_y_discrepancy(src_x, src_y, src_w, target, hidden=(),
-                                     clip=clip, epochs=400, batch_size=4,
-                                     lr=0.02, seed=3)
+        est = estimate_y_discrepancy(src_x, src_y, src_w, target,
+                                     arch=ArchSpec((), clip),
+                                     config=FitConfig(400, 4, 0.02, 3))
         assert est.value == pytest.approx(true_max, rel=0.05)
         assert est.value <= true_max + 1e-9  # lower bound on the box max
 
@@ -115,7 +116,7 @@ class TestBoundDirection:
         train = TrainingSet(X, labeling_fn(X) + 0.3 * X[:, 0], flags)
         config = WannConfig(epochs=5, batch_size=16, pretrain_epochs=20,
                             seed=4)
-        model = build_wann_model(3, (8,), clip=1.0, config=config)
+        model = build_wann_model(3, ArchSpec((8,)), config)
         pretrain_weighter(model, train, config)
         fit_wann(model, train, config)
 
@@ -127,8 +128,8 @@ class TestBoundDirection:
         weighted_risk = float(np.dot(w, (forward(model.task, train.X)
                                          - train.y) ** 2))
         est = estimate_y_discrepancy(
-            train.X, train.y, w, tgt, hidden=(8,), clip=1.0, epochs=10,
-            batch_size=16, seed=4, init_net=model.task)
+            train.X, train.y, w, tgt, arch=ArchSpec((8,)),
+            config=FitConfig(10, 16, seed=4), init_net=model.task)
         assert task_tgt_risk - weighted_risk <= est.value + 1e-12
 
 
@@ -146,11 +147,27 @@ class TestValidation:
             estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),
                                    np.full(3, 1 / 3), target)
 
+    @pytest.mark.parametrize("bad", [{"batch_size": -5}, {"epochs": -3},
+                                     {"lr": -0.01}])
+    def test_bad_schedule_rejected(self, bad):
+        # these once returned the untrained estimate (batch_size, epochs)
+        # or turned the ascent into descent (lr); the schedule now comes
+        # only as a FitConfig, which refuses them
+        X = np.ones((3, 2))
+        target = LabeledSample(X, np.ones(3), "target")
+        (field, value), = bad.items()
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            estimate_y_discrepancy(X, np.ones(3), np.full(3, 1 / 3), target,
+                                   config=FitConfig(**bad))
+        with pytest.raises(TypeError, match=field):
+            estimate_y_discrepancy(X, np.ones(3), np.full(3, 1 / 3), target,
+                                   **bad)
+
     def test_empty_target_rejected_before_any_network(self, monkeypatch):
         def no_network(*args, **kwargs):
             raise AssertionError("a network was built")
 
-        monkeypatch.setattr(discrepancy, "build_mlp", no_network)
+        monkeypatch.setattr(discrepancy.ArchSpec, "build", no_network)
         target = LabeledSample(np.ones((0, 2)), np.ones(0), "target")
         with pytest.raises(ValueError, match="target sample is empty"):
             estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),

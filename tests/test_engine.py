@@ -14,9 +14,9 @@ import pytest
 
 from wann.data import TrainingSet, labeling_fn
 from wann.discrepancy import _ascend
-from wann.nn import (AdamState, FitConfig, adam_step, build_mlp,
+from wann.nn import (AdamState, ArchSpec, FitConfig, adam_step, build_mlp,
                      fit_regression, forward, weighted_mse_grad)
-from wann.training import WannModel, build_wann_model, wann_step
+from wann.training import WannConfig, WannModel, build_wann_model, wann_step
 
 
 class RefNet:
@@ -80,9 +80,8 @@ class RefNet:
                          corr1, corr2)
             self._update(self.biases[k], d_b[k], self.m_b[k], self.v_b[k],
                          corr1, corr2)
-        if self.clip is not None:
-            for arr in self.weights + self.biases:
-                np.clip(arr, -self.clip, self.clip, out=arr)
+        for arr in self.weights + self.biases:
+            np.clip(arr, -self.clip, self.clip, out=arr)
 
     def mse_grad(self, X, y, w):
         out, caches = self.forward_cache(X)
@@ -136,8 +135,8 @@ def negative_q_model(d, seed, X):
 
 MODELS = {
     "negative-q-rows": lambda d, X: negative_q_model(d, 2, X),
-    "hidden-100-50": lambda d, X: build_wann_model(d, (100, 50), clip=1.0,
-                                                   seed=3),
+    "hidden-100-50": lambda d, X: build_wann_model(d, ArchSpec((100, 50)),
+                                                   WannConfig(seed=3)),
 }
 
 
@@ -197,8 +196,9 @@ def test_ascend_matches_reference(sign):
     src_w = np.full(13, 1.0 / 13)
     net = build_mlp(3, (10, 6), clip=1.0, rng=np.random.default_rng(11))
     ref = RefNet(net, lr=0.01)
-    _ascend(net, sign, src_x, src_y, src_w, tgt_x, tgt_y, epochs=3,
-            batch_size=5, lr=0.01, rng=np.random.default_rng(12))
+    _ascend(net, sign, src_x, src_y, src_w, tgt_x, tgt_y,
+            FitConfig(epochs=3, batch_size=5, lr=0.01),
+            rng=np.random.default_rng(12))
 
     X, y = np.concatenate([src_x, tgt_x]), np.concatenate([src_y, tgt_y])
     flags = np.arange(19) >= 13
@@ -293,7 +293,8 @@ def test_steady_state_step_and_eval_allocate_little(dim):
     # the per-layer engine needed 2.1 MiB (dim 64) and 3.3 MiB (dim 256)
     # per step and 3.1 MiB per 1000-row forward
     rng = np.random.default_rng(20)
-    model = build_wann_model(dim, (100, 100), clip=1.0, seed=21)
+    model = build_wann_model(dim, ArchSpec((100, 100)),
+                             WannConfig(seed=21))
     X, y = rng.normal(size=(128, dim)), rng.normal(size=128)
     is_target = rng.random(128) < 0.2
     X_eval = rng.normal(size=(1000, dim))

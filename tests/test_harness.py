@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wann import harness
-from wann.data import MixtureShiftSpec, gen_mixture_shift
-from wann.harness import (PARAM_KEYS, ExperimentConfig, MethodSpec,
+from wann import baselines, harness, training
+from wann.data import LabeledSample, MixtureShiftSpec, gen_mixture_shift
+from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig, MethodSpec,
                           build_comparison_table, compute_metrics,
                           emit_plot_data, export_results, run_experiment,
                           run_method)
@@ -142,7 +142,7 @@ class TestRunExperiment:
                                shallow=False), rel
 
     def test_method_failure_recorded_not_fatal(self, tmp_path):
-        bad = dict(FAST, batch_size=0)  # below 1, which fit_wann rejects
+        bad = dict(FAST, batch_size=0)  # below 1, which WannConfig rejects
         config = ExperimentConfig(
             scenario=TINY,
             methods=[MethodSpec("wann", bad),
@@ -239,6 +239,49 @@ class TestMethodSpec:
         assert calls == [len(data.validation.y)]
         assert trained.final_mse == trained.curve[-1]
         assert untrained.curve == []
+
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        # every method trains through fit_regression first (wann in
+        # pretrain_weighter)
+        for module in (harness, baselines, training):
+            monkeypatch.setattr(module, "fit_regression", refuse)
+
+    @pytest.mark.parametrize("method,bad,message", [
+        *[(method, bad, message) for method in sorted(RUNNERS)
+          for bad, message in [({"epochs": -3}, "epochs must be >= 0"),
+                               ({"batch_size": 0}, "batch_size must be"),
+                               ({"lr": -0.5}, "lr must be finite"),
+                               ({"hidden": (0,)}, "layer 0 has 0 units"),
+                               ({"clip": 0.0}, "clip must be finite")]],
+        ("wann", {"pretrain_epochs": -2}, "pretrain_epochs must be >= 0"),
+    ])
+    def test_bad_params_recorded_before_training(self, no_training, method,
+                                                 bad, message):
+        data = gen_mixture_shift(replace(TINY, seed=6))
+        params = dict(FAST, n_iterations=2, **bad)
+        result = run_method(MethodSpec(method, params), data.train,
+                            data.validation, seed=6)
+        assert result.error.startswith("ValueError: "), result.error
+        assert message in result.error
+
+    def test_validation_width_checked_before_the_method_runs(
+            self, monkeypatch):
+        def spy(*args):
+            raise AssertionError("the runner was called")
+
+        monkeypatch.setitem(harness.RUNNERS, "uniform", spy)
+        data = gen_mixture_shift(replace(TINY, seed=7))
+        narrow = LabeledSample(data.validation.X[:, :1], data.validation.y,
+                               "target")
+        result = run_method(MethodSpec("uniform", dict(FAST)), data.train,
+                            narrow, seed=7)
+        assert result.error == ("ValueError: validation sample has 1 "
+                                "features, training set has 2")
 
 
 class TestPlotOutputs:

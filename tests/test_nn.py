@@ -4,13 +4,15 @@ import inspect
 import numpy as np
 import pytest
 
+from wann.discrepancy import estimate_y_discrepancy
 from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
                      TrainingDivergedError, _backward, _forward_cache,
                      adam_step, build_mlp, clip_weights, fit_regression,
                      forward, weighted_mse_grad)
+from wann.training import WannConfig, build_wann_model, wann_step
 
 
-def random_net(rng, n_in=3, hidden=(6, 4), clip=None):
+def random_net(rng, n_in=3, hidden=(6, 4), clip=1.0):
     return build_mlp(n_in, hidden, clip=clip, rng=rng)
 
 
@@ -33,14 +35,15 @@ def flatten_grads(net):
 
 class TestForward:
     def test_single_layer_linear_map(self):
-        net = Mlp([DenseLayer(np.array([[1.0], [1.0]]), np.zeros(1))])
+        net = Mlp([DenseLayer(np.array([[1.0], [1.0]]), np.zeros(1))],
+                  clip=1.0)
         out = forward(net, np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(out, [3.0])
 
     def test_zero_net_output_is_zero(self):
         layers = [DenseLayer(np.zeros((3, 4)), np.zeros(4)),
                   DenseLayer(np.zeros((4, 1)), np.zeros(1))]
-        net = Mlp(layers)
+        net = Mlp(layers, clip=1.0)
         out = forward(net, np.ones((5, 3)))
         np.testing.assert_array_equal(out, np.zeros(5))
 
@@ -50,7 +53,7 @@ class TestForward:
         b1 = np.array([0.1, -0.2])
         w2 = np.array([[1.5], [-0.5]])
         b2 = np.array([0.3])
-        net = Mlp([DenseLayer(w1, b1), DenseLayer(w2, b2)])
+        net = Mlp([DenseLayer(w1, b1), DenseLayer(w2, b2)], clip=2.0)
         X = np.array([[1.0, 2.0], [-0.5, 0.25]])
         hidden = np.maximum(X @ w1 + b1, 0.0)
         expected = (hidden @ w2 + b2)[:, 0]
@@ -79,7 +82,7 @@ class TestForward:
 
 class TestWeightedMseGrad:
     def test_perfect_fit_zero_loss_zero_grads(self):
-        net = Mlp([DenseLayer(np.array([[2.0]]), np.zeros(1))])
+        net = Mlp([DenseLayer(np.array([[2.0]]), np.zeros(1))], clip=2.0)
         X = np.array([[1.0], [2.0], [-3.0]])
         y = 2.0 * X[:, 0]
         loss = weighted_mse_grad(net, X, y, np.full(3, 0.5))
@@ -185,7 +188,7 @@ class TestAdamStep:
         assert state.step_count == 1
 
     def test_single_scalar_first_step(self):
-        net = Mlp([DenseLayer(np.array([[0.0]]), np.zeros(1))])
+        net = Mlp([DenseLayer(np.array([[0.0]]), np.zeros(1))], clip=1.0)
         state = AdamState.for_net(net, lr=0.001)
         net.grad[:] = [1.0, 0.0]  # d/dweight, d/dbias
         adam_step(net, state)
@@ -237,18 +240,13 @@ class TestClipWeights:
             np.testing.assert_array_equal(flatten_params(net), once)
             assert np.abs(once).max() <= 0.1
 
-    def test_requires_clip_constant(self):
-        net = random_net(np.random.default_rng(15))
-        with pytest.raises(ValueError, match="clip"):
-            clip_weights(net)
-
 
 class TestFitRegression:
     def test_linear_data_converges(self):
         rng = np.random.default_rng(16)
         X = rng.uniform(-1, 1, size=(64, 1))
         y = 2.0 * X[:, 0]
-        net = build_mlp(1, (), rng=np.random.default_rng(0))
+        net = build_mlp(1, (), clip=4.0, rng=np.random.default_rng(0))
         fit_regression(net, X, y, np.full(64, 1 / 64),
                        FitConfig(epochs=500, batch_size=16, lr=0.01, seed=1))
         err = forward(net, X) - y
@@ -287,7 +285,7 @@ class TestFitRegression:
                            FitConfig())
 
     def test_divergence_guard_raises_with_epoch(self):
-        net = Mlp([DenseLayer(np.array([[1.0]]), np.zeros(1))])
+        net = Mlp([DenseLayer(np.array([[1.0]]), np.zeros(1))], clip=1.0)
         X = np.array([[1.0], [2.0]])
         y = np.array([np.inf, 0.0])
         with pytest.raises(TrainingDivergedError) as err:
@@ -306,7 +304,7 @@ class TestBuildMlp:
     def test_incompatible_layers_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
             Mlp([DenseLayer(np.zeros((2, 3)), np.zeros(3)),
-                 DenseLayer(np.zeros((4, 1)), np.zeros(1))])
+                 DenseLayer(np.zeros((4, 1)), np.zeros(1))], clip=1.0)
 
     def test_clipping_invariant_after_updates(self):
         rng = np.random.default_rng(21)
@@ -327,6 +325,41 @@ class TestBuildMlp:
         assert net.clip == 0.7
 
 
+class TestCarriersRejectBadValues:
+    """``FitConfig`` and ``Mlp`` check the schedule and the network class
+    when they are made; no trainer checks them again."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("epochs", -3, "epochs must be >= 0, got -3"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("batch_size", -5, "batch_size must be >= 1, got -5"),
+        ("lr", -0.01, "lr must be finite and positive, got -0.01"),
+        ("lr", 0.0, "lr must be finite and positive"),
+        ("lr", float("nan"), "lr must be finite and positive, got nan"),
+        ("lr", float("inf"), "lr must be finite and positive, got inf"),
+    ])
+    def test_fit_config(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(**{field: value})
+
+    @pytest.mark.parametrize("hidden,clip,message", [
+        ((0,), 1.0, "layer 0 has 0 units"),
+        ((4, 0), 1.0, "layer 1 has 0 units"),
+        ((4,), 0.0, "clip must be finite and positive, got 0.0"),
+        ((4,), -1.0, "clip must be finite and positive, got -1.0"),
+        ((4,), float("nan"), "clip must be finite and positive, got nan"),
+        ((4,), float("inf"), "clip must be finite and positive, got inf"),
+        ((4,), None, "clip must be finite and positive, got None"),
+    ])
+    def test_arch_spec_build(self, hidden, clip, message):
+        with pytest.raises(ValueError, match=message):
+            ArchSpec(hidden, clip).build(3, rng=np.random.default_rng(0))
+
+    def test_clip_is_required(self):
+        with pytest.raises(TypeError, match="clip"):
+            Mlp([DenseLayer(np.ones((2, 1)), np.zeros(1))])
+
+
 class TestEngineKnobs:
     """The engine's settable fields and parameters, pinned: a knob cannot
     come back without an edit here."""
@@ -342,3 +375,22 @@ class TestEngineKnobs:
     def test_build_mlp_parameters(self):
         assert list(inspect.signature(build_mlp).parameters) == [
             "n_inputs", "hidden", "clip", "rng"]
+
+    def test_carrier_fields(self):
+        # the network class and the schedule have one carrier each
+        def fields(cls):
+            return [f.name for f in dataclasses.fields(cls)]
+
+        assert fields(ArchSpec) == ["hidden", "clip"]
+        assert fields(FitConfig) == ["epochs", "batch_size", "lr", "seed"]
+        assert fields(WannConfig) == ["epochs", "batch_size", "lr", "seed",
+                                      "pretrain_epochs"]
+
+    @pytest.mark.parametrize("fn,names", [
+        (build_wann_model, ["n_inputs", "arch", "config"]),
+        (estimate_y_discrepancy, ["source_x", "source_y", "source_w",
+                                  "target", "arch", "config", "init_net"]),
+        (wann_step, ["model", "X", "y", "is_target", "total_rows", "epoch"]),
+    ])
+    def test_trainer_parameters(self, fn, names):
+        assert list(inspect.signature(fn).parameters) == names

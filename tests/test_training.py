@@ -4,8 +4,8 @@ from hypothesis import example, given, strategies as st
 
 from wann import training
 from wann.data import TrainingSet, LabeledSample, labeling_fn
-from wann.nn import (AdamState, DenseLayer, Mlp, TrainingDivergedError,
-                     _forward_cache, forward)
+from wann.nn import (AdamState, ArchSpec, DenseLayer, Mlp,
+                     TrainingDivergedError, _forward_cache, forward)
 from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
                            predict, pretrain_weighter, training_weights,
                            wann_step)
@@ -19,7 +19,7 @@ def small_train(k=60, d=3, n_target=15, seed=0):
     return TrainingSet(X, labeling_fn(X), flags)
 
 
-def linear_net(weights, bias, clip=None):
+def linear_net(weights, bias, clip=1.0):
     w = np.asarray(weights, dtype=float).reshape(-1, 1)
     return Mlp([DenseLayer(w, np.array([float(bias)]))], clip=clip)
 
@@ -33,9 +33,21 @@ def adam_first_step(theta, grad, lr=0.001, eps=1e-8):
     return theta - lr * grad / (np.abs(grad) + eps)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("epochs", -3, "epochs must be >= 0, got -3"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("lr", -0.5, "lr must be finite and positive, got -0.5"),
+    ("lr", float("nan"), "lr must be finite and positive, got nan"),
+    ("pretrain_epochs", -2, "pretrain_epochs must be >= 0, got -2"),
+])
+def test_wann_config_rejects_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        WannConfig(**{field: value})
+
+
 class TestBuildModel:
     def test_adversary_starts_at_task(self):
-        model = build_wann_model(4, (8,), clip=1.0, seed=1)
+        model = build_wann_model(4, ArchSpec((8,)), WannConfig(seed=1))
         np.testing.assert_array_equal(params_of(model.task),
                                       params_of(model.adversary))
 
@@ -43,7 +55,7 @@ class TestBuildModel:
         # q is a plain network with a linear output; the relu that makes
         # its weights nonnegative is the trainer's
         train = small_train(seed=2)
-        model = build_wann_model(3, (8,), clip=1.0, seed=2)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=2))
         model.weight_scale = 0.5
         q = model.weighter
         q.layers[-1].biases -= np.median(forward(q, train.X))
@@ -58,7 +70,7 @@ class TestBuildModel:
         assert (tw.normalized[negative] == 0.0).all()
 
     def test_weighter_clip_defaults_to_task_clip(self):
-        model = build_wann_model(4, (8,), clip=0.7, seed=3)
+        model = build_wann_model(4, ArchSpec((8,), 0.7), WannConfig(seed=3))
         assert model.weighter.clip == 0.7
 
 
@@ -66,7 +78,7 @@ class TestPretrainWeighter:
     def test_mean_weight_within_ten_percent(self):
         train = small_train(k=1000, d=4, n_target=200, seed=4)
         config = WannConfig(batch_size=128, pretrain_epochs=50, seed=4)
-        model = build_wann_model(4, (16,), clip=1.0, config=config)
+        model = build_wann_model(4, ArchSpec((16,)), config)
         pretrain_weighter(model, train, config)
         mean = model.instance_weights(train.X).mean()
         assert 0.0009 <= mean <= 0.0011
@@ -74,7 +86,7 @@ class TestPretrainWeighter:
     def test_zero_epochs_leaves_weighter(self):
         train = small_train(seed=5)
         config = WannConfig(pretrain_epochs=0, batch_size=16, seed=5)
-        model = build_wann_model(3, (8,), clip=1.0, config=config)
+        model = build_wann_model(3, ArchSpec((8,)), config)
         before = params_of(model.weighter).copy()
         pretrain_weighter(model, train, config)
         np.testing.assert_array_equal(params_of(model.weighter), before)
@@ -82,7 +94,7 @@ class TestPretrainWeighter:
     def test_leaves_the_weighter_structure_unchanged(self):
         train = small_train(seed=5)
         config = WannConfig(pretrain_epochs=3, batch_size=16, seed=5)
-        model = build_wann_model(3, (8, 6), clip=0.7, config=config)
+        model = build_wann_model(3, ArchSpec((8, 6), 0.7), config)
         q = model.weighter
         layers = list(q.layers)
         shapes = [(l.weights.shape, l.biases.shape) for l in layers]
@@ -109,7 +121,7 @@ class TestPretrainWeighter:
         # only the output bias can move, so give it room to travel to 1
         train = small_train(k=100, d=3, n_target=20, seed=6)
         config = WannConfig(pretrain_epochs=400, batch_size=16, seed=6)
-        model = build_wann_model(3, (8,), clip=1.0, config=config)
+        model = build_wann_model(3, ArchSpec((8,)), config)
         for layer in model.weighter.layers:
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
@@ -122,14 +134,15 @@ class TestPretrainWeighter:
 class TestWannStep:
     def test_zero_weighter_freezes_task_and_weighter(self):
         train = small_train(seed=7)
-        model = build_wann_model(3, (8,), clip=1.0, seed=7)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=7))
         for layer in model.weighter.layers:
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
         task_before = params_of(model.task).copy()
         weighter_before = params_of(model.weighter).copy()
         adversary_before = params_of(model.adversary).copy()
-        wann_step(model, train.X[:16], train.y[:16], train.is_target[:16])
+        wann_step(model, train.X[:16], train.y[:16], train.is_target[:16],
+                  16)
         np.testing.assert_array_equal(params_of(model.task), task_before)
         np.testing.assert_array_equal(params_of(model.weighter),
                                       weighter_before)
@@ -138,19 +151,20 @@ class TestWannStep:
 
     def test_identical_task_and_adversary_zero_weighter_gradient(self):
         train = small_train(seed=8)
-        model = build_wann_model(3, (8,), clip=1.0, seed=8)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=8))
         config = WannConfig(pretrain_epochs=5, batch_size=16, seed=8)
         pretrain_weighter(model, train, config)
         model.adversary = model.task.copy()
         model.opt_adversary = AdamState.for_net(model.adversary)
         weighter_before = params_of(model.weighter).copy()
-        wann_step(model, train.X[:16], train.y[:16], train.is_target[:16])
+        wann_step(model, train.X[:16], train.y[:16], train.is_target[:16],
+                  16)
         np.testing.assert_array_equal(params_of(model.weighter),
                                       weighter_before)
 
     def test_diagnostics_match_direct_sums(self):
         train = small_train(seed=9)
-        model = build_wann_model(3, (8,), clip=1.0, seed=9)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=9))
         config = WannConfig(pretrain_epochs=5, batch_size=16, seed=9)
         pretrain_weighter(model, train, config)
         X, y = train.X[:20], train.y[:20]
@@ -158,7 +172,7 @@ class TestWannStep:
         w = model.instance_weights(X)
         sq_h = (forward(model.task, X) - y) ** 2
         sq_hp = (forward(model.adversary, X) - y) ** 2
-        diag = wann_step(model, X, y, flags)
+        diag = wann_step(model, X, y, flags, len(X))
         np.testing.assert_allclose(diag.l_q_h, np.dot(w, sq_h), rtol=1e-12)
         np.testing.assert_allclose(diag.l_q_hp, np.dot(w, sq_hp), rtol=1e-12)
         np.testing.assert_allclose(diag.l_tgt_hp, sq_hp[flags].mean(),
@@ -169,22 +183,22 @@ class TestWannStep:
 
     def test_batch_without_targets_contributes_zero_target_term(self):
         train = small_train(seed=10)
-        model = build_wann_model(3, (8,), clip=1.0, seed=10)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=10))
         src = ~train.is_target
         diag = wann_step(model, train.X[src][:8], train.y[src][:8],
-                         np.zeros(8, dtype=bool))
+                         np.zeros(8, dtype=bool), 8)
         assert diag.l_tgt_hp == 0.0
 
     def test_all_target_batch_steps(self):
         # the weighted sums run over every row, target rows included
         rng = np.random.default_rng(11)
         X, y = rng.normal(size=(4, 3)), rng.normal(size=4)
-        model = build_wann_model(3, (8,), clip=1.0, seed=11)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=11))
         w = model.instance_weights(X)
         sq_h = (forward(model.task, X) - y) ** 2
         sq_hp = (forward(model.adversary, X) - y) ** 2
         adversary_before = params_of(model.adversary).copy()
-        diag = wann_step(model, X, y, np.ones(4, dtype=bool))
+        diag = wann_step(model, X, y, np.ones(4, dtype=bool), 4)
         np.testing.assert_allclose(
             [diag.l_q_h, diag.l_tgt_hp, diag.l_q_hp],
             [np.dot(w, sq_h), sq_hp.mean(), np.dot(w, sq_hp)], rtol=1e-12)
@@ -192,12 +206,12 @@ class TestWannStep:
                                   adversary_before)
 
     def test_non_finite_loss_raises_with_epoch(self):
-        model = build_wann_model(2, (4,), clip=1.0, seed=12)
+        model = build_wann_model(2, ArchSpec((4,)), WannConfig(seed=12))
         X = np.ones((3, 2))
         y = np.array([0.0, np.inf, 1.0])
         flags = np.array([False, False, True])
         with pytest.raises(TrainingDivergedError) as err:
-            wann_step(model, X, y, flags, epoch=17)
+            wann_step(model, X, y, flags, 3, epoch=17)
         assert err.value.epoch == 17
 
     # c = 0.8 keeps all of q's linear outputs positive (0.65, 1.05,
@@ -230,7 +244,7 @@ class TestWannStep:
             opt_adversary=AdamState.for_net(linear_net(ap, bp), lr=lr),
             opt_weighter=AdamState.for_net(linear_net(u, c), lr=lr),
         )
-        diag = wann_step(model, X, y, flags)
+        diag = wann_step(model, X, y, flags, len(X))
 
         pre = X @ u + c
         active = (pre > 0.0).astype(float)
@@ -283,7 +297,7 @@ class TestWannStep:
         train = small_train(k=40, d=3, n_target=10, seed=30)
         idx = np.arange(12)
         X, y, flags = train.X[idx], train.y[idx], train.is_target[idx]
-        model = build_wann_model(3, (6, 5), clip=1.0, seed=30)
+        model = build_wann_model(3, ArchSpec((6, 5)), WannConfig(seed=30))
         model.weight_scale = 1.0 / len(train)
         q = model.weighter
         q.layers[-1].biases -= np.median(forward(q, X))
@@ -320,7 +334,7 @@ class TestFitWann:
         train = small_train(k=k, d=d, n_target=k // 4, seed=seed)
         config = WannConfig(epochs=4, batch_size=16, pretrain_epochs=5,
                             seed=seed)
-        model = build_wann_model(d, (8,), clip=1.0, config=config)
+        model = build_wann_model(d, ArchSpec((8,)), config)
         pretrain_weighter(model, train, config)
         return model, train, config
 
@@ -365,7 +379,7 @@ class TestFitWann:
         for _ in range(2):
             config = WannConfig(epochs=epochs, batch_size=batch_size,
                                 pretrain_epochs=2, seed=31)
-            model = build_wann_model(2, (4,), clip=1.0, config=config)
+            model = build_wann_model(2, ArchSpec((4,)), config)
             pretrain_weighter(model, train, config)
             result = fit_wann(model, train, config, validation=val)
             err = predict(model, val.X) - val.y
@@ -377,17 +391,12 @@ class TestFitWann:
         assert first.final_mse == second.final_mse
         np.testing.assert_array_equal(first.weights, second.weights)
 
-    def test_batch_size_validation(self):
-        model, train, config = self.make_ready(seed=16)
-        config.batch_size = 0
-        with pytest.raises(ValueError, match="batch_size"):
-            fit_wann(model, train, config)
-        # a batch above the row count is one full batch
-        val = LabeledSample(train.X[:10], train.y[:10], "target")
+    def test_batch_above_row_count_is_one_full_batch(self):
         results = []
-        for batch_size in (len(train), len(train) + 1):
+        for extra_rows in (0, 1):
             model, train, config = self.make_ready(seed=16)
-            config.batch_size = batch_size
+            config.batch_size = len(train) + extra_rows
+            val = LabeledSample(train.X[:10], train.y[:10], "target")
             results.append(fit_wann(model, train, config, validation=val))
         full, above = results
         assert full.curve == above.curve
@@ -412,7 +421,7 @@ class TestFitWann:
                                np.full(len(train), domain == "target"))
         config = WannConfig(epochs=2, batch_size=16, pretrain_epochs=5,
                             seed=18)
-        model = build_wann_model(3, (8,), clip=1.0, config=config)
+        model = build_wann_model(3, ArchSpec((8,)), config)
         with pytest.raises(ValueError, match="source and target"):
             pretrain_weighter(model, one_side, config)
 
@@ -421,7 +430,7 @@ class TestTrainingWeights:
     def test_pretrained_weighter_gives_normalized_ones(self):
         train = small_train(k=200, d=3, n_target=40, seed=21)
         config = WannConfig(pretrain_epochs=200, batch_size=32, seed=21)
-        model = build_wann_model(3, (8,), clip=1.0, config=config)
+        model = build_wann_model(3, ArchSpec((8,)), config)
         pretrain_weighter(model, train, config)
         tw = training_weights(model, train)
         np.testing.assert_allclose(tw.normalized, 1.0, atol=0.3)
@@ -429,13 +438,13 @@ class TestTrainingWeights:
 
     def test_nonnegative_by_construction(self):
         train = small_train(seed=22)
-        model = build_wann_model(3, (8,), clip=1.0, seed=22)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=22))
         tw = training_weights(model, train)
         assert tw.raw.min() >= 0.0
 
     def test_all_zero_weights_rejected(self):
         train = small_train(seed=23)
-        model = build_wann_model(3, (8,), clip=1.0, seed=23)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=23))
         for layer in model.weighter.layers:
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
@@ -446,7 +455,7 @@ class TestTrainingWeights:
 class TestPredict:
     def test_matches_eval_forward_and_ignores_weighter(self):
         train = small_train(seed=24)
-        model = build_wann_model(3, (8,), clip=1.0, seed=24)
+        model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=24))
         base = predict(model, train.X)
         np.testing.assert_array_equal(base, forward(model.task, train.X))
         for layer in model.weighter.layers:
