@@ -48,49 +48,85 @@ def target_only_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
 
 
 # rows above which the median bandwidth is taken over a subsample, so its
-# peak memory, about 13 * MEDIAN_MAX_ROWS**2 bytes (the Gram matrix, the
-# upper-triangle mask and the distances), holds for any input
+# peak memory, about 9 * MEDIAN_MAX_ROWS**2 bytes (the squared distances,
+# whose own buffer also holds the packed triangle the median is selected
+# from, and one 256-row block of sq_i + sq_j), holds for any input
 MEDIAN_MAX_ROWS = 2000
+
+
+def _squared_distances(X: np.ndarray, Y: np.ndarray, sq_x: np.ndarray,
+                       sq_y: np.ndarray) -> np.ndarray:
+    """||x_i - y_j||^2 as (sq_x_i + sq_y_j) - 2 x_i.y_j, in one array.
+
+    ``sq_x`` and ``sq_y`` are the squared row norms. The Gram product is
+    scaled in place and sq_x_i + sq_y_j is added a block of rows at a
+    time, so no second array of the result's size is made.
+    """
+    d2 = X @ Y.T
+    d2 *= -2.0
+    for start in range(0, len(X), 256):
+        block = d2[start:start + 256]
+        block += sq_x[start:start + 256, None] + sq_y[None, :]
+    return d2
+
+
+def _pack_strict_upper_triangle(A: np.ndarray) -> np.ndarray:
+    """The entries above the diagonal of square ``A``, row by row, moved
+    to the front of A's own buffer; returns that leading view.
+
+    Row i's part starts no earlier in the buffer than where it is moved
+    to, so each move reads only entries not yet overwritten (NumPy
+    copies an overlapping move as if through a buffer).
+    """
+    n = len(A)
+    flat = A.reshape(-1)
+    end = 0
+    for i in range(n - 1):
+        row = flat[i * n + i + 1:(i + 1) * n]
+        flat[end:end + len(row)] = row
+        end += len(row)
+    return flat[:end]
 
 
 def median_pairwise_distance(X: np.ndarray, Y: np.ndarray | None = None
                              ) -> float:
     """Median pairwise Euclidean distance, the default kernel bandwidth.
 
-    Above ``MEDIAN_MAX_ROWS`` combined rows the median is taken over a
-    fixed-seed subsample of that many rows.
+    The median is selected from the squared distances, and only the one
+    or two middle values are clamped at 0 and square-rooted. Both maps
+    are monotone, so the result is the median of the distances bit for
+    bit. Zero distances only, or none, give 1.0, as does a squared
+    distance that overflowed to nan. Above ``MEDIAN_MAX_ROWS`` combined
+    rows the median is taken over a fixed-seed subsample of that many
+    rows.
     """
     Z = X if Y is None else np.concatenate([X, Y])
     if len(Z) > MEDIAN_MAX_ROWS:
         Z = Z[np.random.default_rng(0).choice(len(Z), MEDIAN_MAX_ROWS,
                                               replace=False)]
     sq = np.sum(Z * Z, axis=1)
-    gram = Z @ Z.T
-    gram *= -2.0
-    # sq_i + sq_j is added a block of rows at a time, so no second
-    # Gram-sized temporary is made
-    for start in range(0, len(Z), 256):
-        block = gram[start:start + 256]
-        block += sq[start:start + 256, None] + sq[None, :]
-    dists = gram[np.triu(np.ones(gram.shape, dtype=bool), k=1)]
-    np.maximum(dists, 0.0, out=dists)
-    np.sqrt(dists, out=dists)
-    med = float(np.median(dists, overwrite_input=True)) if len(dists) else 1.0
+    d2 = _pack_strict_upper_triangle(_squared_distances(Z, Z, sq, sq))
+    if len(d2) == 0:
+        return 1.0
+    upper = len(d2) // 2
+    d2.partition(upper)
+    # the partition puts nans last, so any nan lies in d2[upper:]
+    if np.isnan(d2[upper:].max()):
+        return 1.0
+    middle = ([d2[upper]] if len(d2) % 2
+              else [d2[:upper].max(), d2[upper]])
+    med = float(np.mean(np.sqrt(np.maximum(middle, 0.0))))
     return med if med > 0.0 else 1.0
 
 
 def _gaussian_kernel(X: np.ndarray, Y: np.ndarray, sigma: float) -> np.ndarray:
-    sq_x = np.sum(X * X, axis=1)[:, None]
-    sq_y = np.sum(Y * Y, axis=1)[None, :]
-    # in place, so at most two kernel-sized arrays are alive at once
-    cross = X @ Y.T
-    cross *= 2.0
-    d2 = sq_x + sq_y
-    d2 -= cross
-    np.maximum(d2, 0.0, out=d2)
-    np.negative(d2, out=d2)
-    np.divide(d2, 2.0 * sigma * sigma, out=d2)
-    return np.exp(d2, out=d2)
+    """exp(-||x_i - y_j||^2 / (2 sigma^2)), in one kernel-sized array."""
+    sq_x = np.sum(X * X, axis=1)
+    sq_y = sq_x if Y is X else np.sum(Y * Y, axis=1)
+    kernel = _squared_distances(X, Y, sq_x, sq_y)
+    np.maximum(kernel, 0.0, out=kernel)
+    np.divide(kernel, -(2.0 * sigma * sigma), out=kernel)
+    return np.exp(kernel, out=kernel)
 
 
 def _check_solver_settings(config: KmmConfig | KliepConfig) -> None:

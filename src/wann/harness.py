@@ -89,6 +89,15 @@ def _fit_config(params: dict, seed: int) -> FitConfig:
     return FitConfig(seed=seed, **_pick(params, _FIT_KEYS))
 
 
+def _check_params(params: dict) -> None:
+    """Make every configuration that owns a given key, so a bad value
+    fails before any work, whichever method the key's runner is."""
+    WannConfig(**_pick(params, _FIT_KEYS + _WANN_KEYS))
+    baselines.KmmConfig(**_pick(params, _KMM_KEYS))
+    baselines.KliepConfig(**_pick(params, _KLIEP_KEYS))
+    baselines.TradaboostConfig(**_pick(params, ("n_iterations",)))
+
+
 def _validation_pair(validation):
     if validation is None:
         return None
@@ -193,14 +202,16 @@ def run_method(spec: MethodSpec, train: TrainingSet,
                validation: LabeledSample | None, seed: int) -> RunResult:
     """Run one method, capturing failures as an error-tagged result.
 
-    A validation sample whose width differs from the training set's is
-    such a failure, found before the method starts.
+    A bad value of any ``spec.params`` key, whether or not the method
+    reads it, and a validation sample whose width differs from the
+    training set's are such failures, found before the method starts.
     """
     if spec.name not in RUNNERS:
         raise ValueError(f"unknown method {spec.name!r}; "
                          f"choices: {sorted(RUNNERS)}")
     start = time.perf_counter()
     try:
+        _check_params(spec.params)
         if (validation is not None
                 and validation.X.shape[1] != train.X.shape[1]):
             raise ValueError(

@@ -232,13 +232,22 @@ def _backward(net: Mlp, caches, d_out: np.ndarray) -> None:
     """
     delta = caches[-1][1]
     delta[:, 0] = d_out
-    for k in range(len(net.layers) - 1, -1, -1):
+    last = len(net.layers) - 1
+    for k in range(last, -1, -1):
         a_in = caches[k][0]
         np.matmul(a_in.T, delta, out=net._d_weights[k])
         np.sum(delta, axis=0, out=net._d_biases[k])
         if k > 0:
             pos = a_in > 0.0
-            np.matmul(delta, net.layers[k].weights.T, out=a_in)
+            if k == last:
+                # the scalar output's product has one term per entry, so
+                # this outer product has the matmul's bits without BLAS;
+                # copying first gives the multiply one broadcast operand
+                # to buffer, not two
+                np.copyto(a_in, net.layers[k].weights.T)
+                a_in *= delta
+            else:
+                np.matmul(delta, net.layers[k].weights.T, out=a_in)
             a_in *= pos
             delta = a_in
 
@@ -277,14 +286,16 @@ def weighted_mse_grad(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray
     return loss
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
     """Mini-batch Adam training configuration.
 
     The defaults are the paper's protocol (300 epochs of batch 128,
     Adam at lr 0.001); every other default in the package that concerns
     training refers back to this class. Every trainer takes its schedule
-    from here, so a bad value fails when the configuration is made.
+    from here, so a bad value fails when the configuration is made. It
+    is frozen, so no value skips that check: a changed copy is made with
+    ``dataclasses.replace``.
     """
 
     epochs: int = 300

@@ -29,7 +29,7 @@ from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
 from .results import RunResult, compute_metrics
 
 
-@dataclass
+@dataclass(frozen=True)
 class WannConfig(FitConfig):
     """Training protocol for the adversarial weighting run.
 

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wann import baselines
 from wann.baselines import (FACE_PRODUCTS, MEDIAN_MAX_ROWS, KliepConfig,
@@ -529,6 +530,9 @@ class TestGaussianKernel:
             sigma = float(rng.uniform(0.1, 5.0))
             assert np.array_equal(_gaussian_kernel(X, Y, sigma),
                                   gaussian_kernel_out_of_place(X, Y, sigma))
+            # one sample on both sides shares one norm vector
+            assert np.array_equal(_gaussian_kernel(X, X, sigma),
+                                  gaussian_kernel_out_of_place(X, X, sigma))
         # coincident rows give cancellations that the clamp at 0 handles
         Z = np.repeat(rng.normal(size=(3, 4)), 2, axis=0)
         assert np.array_equal(_gaussian_kernel(Z, Z, 1.0),
@@ -542,10 +546,11 @@ class TestGaussianKernel:
                               gaussian_kernel_out_of_place(Xs, Xs, sigma))
 
     def test_holds_two_kernel_sized_arrays_at_most(self):
-        # the out-of-place formula holds three: sq_x + sq_y, X @ Y.T and
-        # 2.0 * (X @ Y.T)
+        # one kernel-sized array, one 256-row block of sq_x_i + sq_y_j (an
+        # eighth of the kernel here) and NumPy's iterator buffers; the
+        # out-of-place formula holds three kernels
         rng = np.random.default_rng(15)
-        X, Y = rng.normal(size=(400, 5)), rng.normal(size=(300, 5))
+        X, Y = rng.normal(size=(2000, 5)), rng.normal(size=(100, 5))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -553,7 +558,20 @@ class TestGaussianKernel:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * X.shape[0] * Y.shape[0] * 8
+        assert peak <= 1.3 * X.shape[0] * Y.shape[0] * 8
+
+
+@st.composite
+def pooled_samples(draw):
+    """X, and Y or None, with 1-6 columns and rows drawn from a pool of
+    1-4 rows, so distances tie or are zero; 1-18 rows in all give 0, 1,
+    odd and even pair counts."""
+    width = draw(st.integers(1, 6))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 4)), width),
+                       elements=st.floats(-1e3, 1e3)))
+    rows = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=9)
+    X = pool[draw(rows)]
+    return X, (pool[draw(rows)] if draw(st.booleans()) else None)
 
 
 class TestMedianPairwiseDistance:
@@ -566,6 +584,13 @@ class TestMedianPairwiseDistance:
         assert (median_pairwise_distance(X)
                 == median_pairwise_distance_with_index_arrays(X))
 
+    @given(samples=pooled_samples())
+    # one row: no pair at all
+    @example(samples=(np.zeros((1, 2)), None))
+    def test_bits_match_index_array_version_on_any_draw(self, samples):
+        assert (median_pairwise_distance(*samples)
+                == median_pairwise_distance_with_index_arrays(*samples))
+
     def test_bits_match_index_array_version_on_mixture_draw(self):
         train = gen_mixture_shift(MixtureShiftSpec(
             dim=64, m=1000, target_fraction=0.2, seed=7)).train
@@ -574,8 +599,9 @@ class TestMedianPairwiseDistance:
                 == median_pairwise_distance_with_index_arrays(Xs, Xt))
 
     def test_large_input_stays_under_a_memory_bound(self):
-        # about 13 bytes per pair of rows: the Gram matrix, the mask and
-        # the distances; all 2 * MEDIAN_MAX_ROWS rows would need 4x more
+        # about 9 bytes per pair of rows: the squared distances, whose
+        # buffer also holds the packed triangle, and one 256-row block of
+        # sq_i + sq_j; all 2 * MEDIAN_MAX_ROWS rows would need 4x more
         X = np.random.default_rng(12).normal(size=(2 * MEDIAN_MAX_ROWS, 3))
         tracemalloc.start()
         try:
@@ -584,7 +610,7 @@ class TestMedianPairwiseDistance:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * MEDIAN_MAX_ROWS ** 2
+        assert peak <= 9.5 * MEDIAN_MAX_ROWS ** 2
 
     def test_subsample_median_is_fixed_and_close_to_the_full_median(self):
         rng = np.random.default_rng(13)

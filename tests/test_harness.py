@@ -257,13 +257,22 @@ class TestMethodSpec:
                                ({"batch_size": 0}, "batch_size must be"),
                                ({"lr": -0.5}, "lr must be finite"),
                                ({"hidden": (0,)}, "layer 0 has 0 units"),
-                               ({"clip": 0.0}, "clip must be finite")]],
-        ("wann", {"pretrain_epochs": -2}, "pretrain_epochs must be >= 0"),
+                               ({"clip": 0.0}, "clip must be finite"),
+                               # keys of other methods are checked too
+                               ({"pretrain_epochs": -2},
+                                "pretrain_epochs must be >= 0"),
+                               ({"B": -1.0}, "B must be finite and positive"),
+                               ({"eps": 1.0}, "eps must lie in (0, 1)"),
+                               ({"kernel_bandwidth": 0.0},
+                                "kernel_bandwidth must be finite"),
+                               ({"n_centers": 0}, "n_centers must be >= 1"),
+                               ({"n_iterations": 0},
+                                "n_iterations must be >= 1")]],
     ])
     def test_bad_params_recorded_before_training(self, no_training, method,
                                                  bad, message):
         data = gen_mixture_shift(replace(TINY, seed=6))
-        params = dict(FAST, n_iterations=2, **bad)
+        params = {**FAST, "n_iterations": 2, **bad}
         result = run_method(MethodSpec(method, params), data.train,
                             data.validation, seed=6)
         assert result.error.startswith("ValueError: "), result.error

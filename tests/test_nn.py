@@ -355,6 +355,16 @@ class TestCarriersRejectBadValues:
         with pytest.raises(ValueError, match=message):
             ArchSpec(hidden, clip).build(3, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("carrier", [FitConfig, WannConfig])
+    @pytest.mark.parametrize("field,value", [("epochs", -3),
+                                             ("batch_size", 0)])
+    def test_a_field_cannot_be_assigned_past_the_check(self, carrier, field,
+                                                       value):
+        config = carrier(epochs=2, batch_size=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+        assert (config.epochs, config.batch_size) == (2, 4)
+
     def test_clip_is_required(self):
         with pytest.raises(TypeError, match="clip"):
             Mlp([DenseLayer(np.ones((2, 1)), np.zeros(1))])

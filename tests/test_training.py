@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -340,7 +342,7 @@ class TestFitWann:
 
     def test_zero_epochs_empty_curve_model_unchanged(self):
         model, train, config = self.make_ready()
-        config.epochs = 0
+        config = replace(config, epochs=0)
         before = params_of(model.task).copy()
         val = LabeledSample(train.X[:5], train.y[:5], "target")
         result = fit_wann(model, train, config, validation=val)
@@ -395,7 +397,7 @@ class TestFitWann:
         results = []
         for extra_rows in (0, 1):
             model, train, config = self.make_ready(seed=16)
-            config.batch_size = len(train) + extra_rows
+            config = replace(config, batch_size=len(train) + extra_rows)
             val = LabeledSample(train.X[:10], train.y[:10], "target")
             results.append(fit_wann(model, train, config, validation=val))
         full, above = results
