@@ -16,14 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import TrainingSet
+from .data import LabeledSample, TrainingSet
 from .nn import ArchSpec, FitConfig, FitTrace, Mlp, fit_regression, forward
 
 EPS = np.finfo(float).eps
 
 
 def uniform_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
-                validation: tuple[np.ndarray, np.ndarray] | None = None
+                validation: LabeledSample | None = None
                 ) -> tuple[Mlp, FitTrace]:
     """Fit one network on all rows with weights 1/(m+n)."""
     k = len(train)
@@ -34,7 +34,7 @@ def uniform_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
 
 
 def target_only_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
-                    validation: tuple[np.ndarray, np.ndarray] | None = None
+                    validation: LabeledSample | None = None
                     ) -> tuple[Mlp, FitTrace]:
     """Fit one network on the target rows only, uniformly weighted."""
     rows = train.target_rows()
@@ -151,7 +151,7 @@ def _as_samples(source_X: np.ndarray, target_X: np.ndarray
     return source_X, target_X
 
 
-@dataclass
+@dataclass(frozen=True)
 class KmmConfig:
     """Kernel mean matching parameters.
 
@@ -414,7 +414,7 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class KliepConfig:
     """KLIEP parameters; centers are drawn from the target sample."""
 
@@ -519,7 +519,7 @@ def kliep_weights(source_X: np.ndarray, target_X: np.ndarray,
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class TradaboostConfig:
     """Reverse-boosting configuration; the base learner is an MLP fit."""
 

@@ -261,7 +261,7 @@ def _load_target_like(path: str, first_path: str, schema: CsvSchema
     and put in ``first_path``'s order."""
     names = csv_feature_cols(first_path, schema)
     return load_csv(path, CsvSchema(label_col=schema.label_col,
-                                    feature_cols=names, domain="target"))
+                                    feature_cols=names))
 
 
 def cmd_fit(args) -> int:

@@ -17,11 +17,10 @@ import numpy as np
 
 @dataclass
 class LabeledSample:
-    """Input matrix plus labels, tagged with the domain it was drawn from."""
+    """Input matrix plus labels."""
 
     X: np.ndarray
     y: np.ndarray
-    domain: str = "source"
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -30,8 +29,6 @@ class LabeledSample:
             raise ValueError("X must be a 2-D matrix")
         if self.y.shape != (self.X.shape[0],):
             raise ValueError("y must be a vector with one entry per row of X")
-        if self.domain not in ("source", "target"):
-            raise ValueError(f"unknown domain {self.domain!r}")
 
     def __len__(self) -> int:
         return len(self.y)
@@ -68,11 +65,11 @@ class TrainingSet:
 
     def source_rows(self) -> LabeledSample:
         keep = ~self.is_target
-        return LabeledSample(self.X[keep], self.y[keep], "source")
+        return LabeledSample(self.X[keep], self.y[keep])
 
     def target_rows(self) -> LabeledSample:
         keep = self.is_target
-        return LabeledSample(self.X[keep], self.y[keep], "target")
+        return LabeledSample(self.X[keep], self.y[keep])
 
 
 def labeling_fn(x: np.ndarray) -> float | np.ndarray:
@@ -89,7 +86,7 @@ def labeling_fn(x: np.ndarray) -> float | np.ndarray:
     return np.mean(np.abs(x), axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixtureShiftSpec:
     """Gaussian-mixture covariate-shift scenario parameters."""
 
@@ -112,7 +109,6 @@ class SyntheticData:
 
     train: TrainingSet
     validation: LabeledSample
-    origin_flags: np.ndarray
     mixture_centers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     target_center: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
@@ -141,11 +137,11 @@ def gen_mixture_shift(spec: MixtureShiftSpec) -> SyntheticData:
     means[flags] = target_center
     X = means + rng.standard_normal((spec.m, n))
     y = labeling_fn(X)
-    train = TrainingSet(X, y, flags.copy())
+    train = TrainingSet(X, y, flags)
 
     val_x = target_center + rng.standard_normal((spec.n_validation, n))
-    validation = LabeledSample(val_x, labeling_fn(val_x), "target")
-    return SyntheticData(train, validation, flags, centers, target_center)
+    validation = LabeledSample(val_x, labeling_fn(val_x))
+    return SyntheticData(train, validation, centers, target_center)
 
 
 # evaluation grid points of gen_uniform_shift_1d
@@ -170,7 +166,7 @@ def gen_uniform_shift_1d(m: int, n: int, seed: int = 0
     flags = np.concatenate([np.zeros(m, dtype=bool), np.ones(n, dtype=bool)])
     train = TrainingSet(x, x[:, 0].copy(), flags)
     grid_x = np.linspace(1.0, 3.0, GRID_POINTS)[:, None]
-    grid = LabeledSample(grid_x, grid_x[:, 0].copy(), "target")
+    grid = LabeledSample(grid_x, grid_x[:, 0].copy())
     return train, grid
 
 
@@ -185,13 +181,12 @@ class CsvSchema:
     ``feature_cols=None`` means every column except the label and
     domain columns. When ``domain_col`` is set, its values must be
     ``source`` or ``target`` and the file loads as a TrainingSet;
-    otherwise the whole file is tagged with ``domain``.
+    otherwise it loads as a LabeledSample.
     """
 
     label_col: str = "y"
     feature_cols: list[str] | None = None
     domain_col: str | None = None
-    domain: str = "source"
 
 
 _DOMAIN_FLAGS = {"source": 0.0, "target": 1.0}
@@ -363,7 +358,7 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None
     if schema.domain_col is not None:
         flags = table[:, header.index(schema.domain_col)] == 1.0
         return TrainingSet(X, y, flags)
-    return LabeledSample(X, y, schema.domain)
+    return LabeledSample(X, y)
 
 
 # save_csv formats and writes this many cells (at least one row) at a

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +22,11 @@ import numpy as np
 from . import baselines
 from .data import (LabeledSample, MixtureShiftSpec, TrainingSet,
                    gen_mixture_shift)
-from .nn import ArchSpec, FitConfig, fit_regression, forward
+from .nn import ArchSpec, FitConfig, FitTrace, fit_regression, forward
 from .results import (CURVE_METRIC, RunResult, compute_metrics, format_real,
                       write_run_file)
 from .svgplot import Line, write_chart
-from .training import (WannConfig, build_wann_model, fit_wann,
+from .training import (WannConfig, build_wann_model, fit_wann, predict,
                        pretrain_weighter)
 
 
@@ -60,7 +62,7 @@ class MethodSpec:
                              f"{self.name!r}; accepted: {sorted(PARAM_KEYS)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: MixtureShiftSpec
     methods: list[MethodSpec]
@@ -72,6 +74,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_repeats < 1:
             raise ValueError("n_repeats must be >= 1")
+        if self.n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ValueError("method names must be unique")
@@ -81,111 +85,84 @@ def _pick(params: dict, keys: tuple[str, ...]) -> dict:
     return {key: params[key] for key in keys if key in params}
 
 
-def _arch(params: dict) -> ArchSpec:
-    return ArchSpec(**_pick(params, _ARCH_KEYS))
+@dataclass(frozen=True)
+class MethodConfigs:
+    """Every configuration a runner reads, each made once per run."""
+
+    arch: ArchSpec
+    fit: FitConfig
+    wann: WannConfig
+    kmm: baselines.KmmConfig
+    kliep: baselines.KliepConfig
+    tradaboost: baselines.TradaboostConfig
+
+    @classmethod
+    def from_params(cls, params: dict, seed: int) -> "MethodConfigs":
+        """Make each configuration; each checks its keys when made."""
+        arch = ArchSpec(**_pick(params, _ARCH_KEYS))
+        fit = FitConfig(seed=seed, **_pick(params, _FIT_KEYS))
+        return cls(
+            arch, fit,
+            WannConfig(seed=seed, **_pick(params, _FIT_KEYS + _WANN_KEYS)),
+            baselines.KmmConfig(**_pick(params, _KMM_KEYS)),
+            baselines.KliepConfig(seed=seed, **_pick(params, _KLIEP_KEYS)),
+            baselines.TradaboostConfig(arch=arch, fit=fit,
+                                       **_pick(params, ("n_iterations",))))
 
 
-def _fit_config(params: dict, seed: int) -> FitConfig:
-    return FitConfig(seed=seed, **_pick(params, _FIT_KEYS))
+# what a runner returns: a predictor of the trained model, the trace of
+# its fit and its training weights (None for a method without any)
+Fitted = tuple[Callable[[np.ndarray], np.ndarray], FitTrace,
+               np.ndarray | None]
 
 
-def _check_params(params: dict) -> None:
-    """Make every configuration that owns a given key, so a bad value
-    fails before any work, whichever method the key's runner is."""
-    WannConfig(**_pick(params, _FIT_KEYS + _WANN_KEYS))
-    baselines.KmmConfig(**_pick(params, _KMM_KEYS))
-    baselines.KliepConfig(**_pick(params, _KLIEP_KEYS))
-    baselines.TradaboostConfig(**_pick(params, ("n_iterations",)))
+def _run_wann(train, validation, configs: MethodConfigs) -> Fitted:
+    model = build_wann_model(train.X.shape[1], configs.arch, configs.wann)
+    pretrain_weighter(model, train, configs.wann)
+    trace = fit_wann(model, train, configs.wann, validation)
+    return partial(predict, model), trace, model.instance_weights(train.X)
 
 
-def _validation_pair(validation):
-    if validation is None:
-        return None
-    return validation.X, validation.y
+def _run_uniform(train, validation, configs: MethodConfigs) -> Fitted:
+    net, trace = baselines.uniform_fit(train, configs.arch, configs.fit,
+                                       validation)
+    return partial(forward, net), trace, None
 
 
-def _prediction_result(method, seed, predictions, validation) -> RunResult:
-    result = RunResult(method=method, seed=seed)
-    if validation is not None:
-        result.final_mse, result.final_mae = compute_metrics(predictions,
-                                                             validation.y)
-        result.predictions = predictions
-    return result
+def _run_target_only(train, validation, configs: MethodConfigs) -> Fitted:
+    net, trace = baselines.target_only_fit(train, configs.arch, configs.fit,
+                                           validation)
+    return partial(forward, net), trace, None
 
 
-def _trace_result(method, seed, net, trace, validation) -> RunResult:
-    # the last epoch's predictions already describe the final network
-    predictions = trace.predictions
-    if validation is not None and predictions is None:
-        predictions = forward(net, validation.X)
-    result = _prediction_result(method, seed, predictions, validation)
-    result.curve = list(trace.val_mse)
-    return result
-
-
-def _run_wann(train, validation, seed, params) -> RunResult:
-    config = WannConfig(seed=seed, **_pick(params, _FIT_KEYS + _WANN_KEYS))
-    model = build_wann_model(train.X.shape[1], _arch(params), config)
-    pretrain_weighter(model, train, config)
-    return fit_wann(model, train, config, validation)
-
-
-def _run_uniform(train, validation, seed, params) -> RunResult:
-    net, trace = baselines.uniform_fit(train, _arch(params),
-                                       _fit_config(params, seed),
-                                       _validation_pair(validation))
-    return _trace_result("uniform", seed, net, trace, validation)
-
-
-def _run_target_only(train, validation, seed, params) -> RunResult:
-    net, trace = baselines.target_only_fit(train, _arch(params),
-                                           _fit_config(params, seed),
-                                           _validation_pair(validation))
-    return _trace_result("target_only", seed, net, trace, validation)
-
-
-def _density_weight_result(method, weights, train, validation, seed, params
-                           ) -> RunResult:
+def _density_weighted_fit(weights, train, validation, configs: MethodConfigs
+                          ) -> Fitted:
     """Fit a network with density-ratio source weights, uniform target."""
     k = len(train)
     per_row = np.full(k, 1.0 / k)
     per_row[~train.is_target] = weights / k
-    net = _arch(params).build(train.X.shape[1],
-                              rng=np.random.default_rng(seed))
-    trace = fit_regression(net, train.X, train.y, per_row,
-                           _fit_config(params, seed),
-                           _validation_pair(validation))
-    result = _trace_result(method, seed, net, trace, validation)
-    result.weights = weights
-    return result
+    net = configs.arch.build(train.X.shape[1],
+                             rng=np.random.default_rng(configs.fit.seed))
+    trace = fit_regression(net, train.X, train.y, per_row, configs.fit,
+                           validation)
+    return partial(forward, net), trace, weights
 
 
-def _run_kmm(train, validation, seed, params) -> RunResult:
-    config = baselines.KmmConfig(**_pick(params, _KMM_KEYS))
+def _run_kmm(train, validation, configs: MethodConfigs) -> Fitted:
     weights = baselines.kmm_weights(train.source_rows().X,
-                                    train.target_rows().X, config)
-    return _density_weight_result("kmm", weights, train, validation, seed,
-                                  params)
+                                    train.target_rows().X, configs.kmm)
+    return _density_weighted_fit(weights, train, validation, configs)
 
 
-def _run_kliep(train, validation, seed, params) -> RunResult:
-    config = baselines.KliepConfig(seed=seed, **_pick(params, _KLIEP_KEYS))
+def _run_kliep(train, validation, configs: MethodConfigs) -> Fitted:
     weights = baselines.kliep_weights(train.source_rows().X,
-                                      train.target_rows().X, config)
-    return _density_weight_result("kliep", weights, train, validation, seed,
-                                  params)
+                                      train.target_rows().X, configs.kliep)
+    return _density_weighted_fit(weights, train, validation, configs)
 
 
-def _run_tradaboost(train, validation, seed, params) -> RunResult:
-    config = baselines.TradaboostConfig(arch=_arch(params),
-                                        fit=_fit_config(params, seed),
-                                        **_pick(params, ("n_iterations",)))
-    ensemble = baselines.tradaboost_r2_fit(train, config)
-    predictions = (None if validation is None
-                   else ensemble.predict(validation.X))
-    result = _prediction_result("tradaboost", seed, predictions, validation)
-    result.weights = ensemble.final_weights
-    return result
+def _run_tradaboost(train, validation, configs: MethodConfigs) -> Fitted:
+    ensemble = baselines.tradaboost_r2_fit(train, configs.tradaboost)
+    return ensemble.predict, FitTrace(), ensemble.final_weights
 
 
 RUNNERS = {
@@ -210,19 +187,31 @@ def run_method(spec: MethodSpec, train: TrainingSet,
         raise ValueError(f"unknown method {spec.name!r}; "
                          f"choices: {sorted(RUNNERS)}")
     start = time.perf_counter()
+    result = RunResult(method=spec.name, seed=seed)
     try:
-        _check_params(spec.params)
+        configs = MethodConfigs.from_params(spec.params, seed)
         if (validation is not None
                 and validation.X.shape[1] != train.X.shape[1]):
             raise ValueError(
                 f"validation sample has {validation.X.shape[1]} features, "
                 f"training set has {train.X.shape[1]}")
-        result = RUNNERS[spec.name](train, validation, seed, spec.params)
+        predictor, trace, weights = RUNNERS[spec.name](train, validation,
+                                                       configs)
+        result.curve = trace.val_mse
+        result.weights = weights
+        if validation is not None:
+            # the last epoch's predictions already describe the trained
+            # model; only a fit of zero epochs, or one that keeps no
+            # trace, needs a pass of its own
+            predictions = trace.predictions
+            if predictions is None:
+                predictions = predictor(validation.X)
+            result.final_mse, result.final_mae = compute_metrics(
+                predictions, validation.y)
+            result.predictions = predictions
     except Exception as exc:
         result = RunResult(method=spec.name, seed=seed,
                            error=f"{type(exc).__name__}: {exc}")
-    result.method = spec.name
-    result.seed = seed
     result.wall_seconds = time.perf_counter() - start
     return result
 

@@ -27,6 +27,8 @@ from numbers import Real
 
 import numpy as np
 
+from .data import LabeledSample
+
 # Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
 BETA1 = 0.9
 BETA2 = 0.999
@@ -153,19 +155,24 @@ class Mlp:
                     for layer in self.layers], self.clip)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArchSpec:
     """Architecture class: hidden widths and clip constant.
 
-    ``build`` makes an ``Mlp``, which rejects a width of 0 and a clip
-    that is not finite and positive.
+    Made, it rejects a width below 1 and a clip that is not finite and
+    positive, before any network is built; ``Mlp`` checks the same.
     """
 
     hidden: tuple[int, ...] = (100, 100)
     clip: float = 1.0
 
     def __post_init__(self):
-        self.hidden = tuple(self.hidden)
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+        for k, width in enumerate(self.hidden):
+            if width < 1:
+                raise ValueError(f"layer {k} has {width} units, "
+                                 f"needs at least 1")
+        _require_positive("clip", self.clip)
 
     def build(self, n_inputs: int, *, rng: np.random.Generator) -> "Mlp":
         return build_mlp(n_inputs, self.hidden, clip=self.clip, rng=rng)
@@ -382,10 +389,16 @@ class FitTrace:
     val_mse: list[float] = field(default_factory=list)
     predictions: np.ndarray | None = None
 
+    def record(self, net: Mlp, validation: LabeledSample) -> None:
+        """Keep ``net``'s predictions on ``validation`` and append their
+        MSE, the quantity every run's curve records."""
+        self.predictions = forward(net, validation.X)
+        self.val_mse.append(
+            float(np.mean((self.predictions - validation.y) ** 2)))
+
 
 def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                   config: FitConfig,
-                   validation: tuple[np.ndarray, np.ndarray] | None = None
+                   config: FitConfig, validation: LabeledSample | None = None
                    ) -> FitTrace:
     """Mini-batch Adam on the weighted MSE, in place.
 
@@ -421,10 +434,7 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
         if not np.isfinite(net.params).all():
             raise TrainingDivergedError(epoch)
         if validation is not None:
-            val_x, val_y = validation
-            trace.predictions = forward(net, val_x)
-            trace.val_mse.append(
-                float(np.mean((trace.predictions - val_y) ** 2)))
+            trace.record(net, validation)
     return trace
 
 

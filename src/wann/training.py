@@ -23,10 +23,9 @@ import numpy as np
 
 from .data import LabeledSample, TrainingSet
 from .discrepancy import gap_weights
-from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
-                 _backward, _forward_cache, adam_step, fit_regression,
-                 forward)
-from .results import RunResult, compute_metrics
+from .nn import (AdamState, ArchSpec, FitConfig, FitTrace, Mlp,
+                 TrainingDivergedError, _backward, _forward_cache, adam_step,
+                 fit_regression, forward)
 
 
 @dataclass(frozen=True)
@@ -202,19 +201,18 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
 
 
 def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
-             validation: LabeledSample | None = None) -> RunResult:
+             validation: LabeledSample | None = None) -> FitTrace:
     """Run the full adversarial schedule over seeded shuffled batches.
 
     The model must have been pretrained (see ``pretrain_weighter``).
-    Records the validation MSE of h once per epoch when a validation
-    sample is given, and returns h's final predictions on it. A batch
-    size above the number of rows makes one full batch, as in
+    When a validation sample is given, the returned trace holds h's
+    validation MSE after each epoch and h's predictions after the last.
+    A batch size above the number of rows makes one full batch, as in
     ``fit_regression``. Deterministic per seed; mutates the model.
     """
     _require_both_domains(train)
     rng = np.random.default_rng(config.seed)
-    curve: list[float] = []
-    pred = None
+    trace = FitTrace()
     for epoch in range(config.epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(train), config.batch_size):
@@ -222,18 +220,8 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
             wann_step(model, train.X[idx], train.y[idx],
                       train.is_target[idx], len(train), epoch)
         if validation is not None:
-            pred = forward(model.task, validation.X)
-            curve.append(float(np.mean((pred - validation.y) ** 2)))
-    result = RunResult(method="wann", seed=config.seed, curve=curve)
-    if validation is not None:
-        # the last epoch's predictions already describe the final model
-        if pred is None:
-            pred = forward(model.task, validation.X)
-        result.final_mse, result.final_mae = compute_metrics(pred,
-                                                             validation.y)
-        result.predictions = pred
-    result.weights = model.instance_weights(train.X)
-    return result
+            trace.record(model.task, validation)
+    return trace
 
 
 @dataclass

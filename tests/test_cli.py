@@ -50,10 +50,10 @@ def two_feature_csvs(tmp_path_factory):
     test = draw.validation
     save_csv(root / "test.csv", test)
     save_csv(root / "swapped.csv",
-             LabeledSample(test.X[:, ::-1], test.y, "target"),
+             LabeledSample(test.X[:, ::-1], test.y),
              CsvSchema(feature_cols=["x1", "x0"]))
     save_csv(root / "no_x1.csv",
-             LabeledSample(test.X[:, :1], test.y, "target"))
+             LabeledSample(test.X[:, :1], test.y))
     return root
 
 

@@ -50,9 +50,7 @@ class TestMixtureShift:
         assert data.train.n_target == 200  # exact rounded count
         assert data.train.n_source == 800
         assert data.validation.X.shape == (1000, 64)
-        assert data.origin_flags.sum() == 200
-        np.testing.assert_array_equal(data.origin_flags,
-                                      data.train.is_target)
+        assert data.train.is_target.sum() == 200
 
     def test_flagged_count_exactly_rounded(self):
         for m, frac, expect in ((10, 0.25, 2), (7, 0.5, 4), (100, 0.333, 33)):
@@ -269,7 +267,7 @@ def ref_load_csv(path, schema=None):
     y = np.array(labels, dtype=np.float64)
     if schema.domain_col is not None:
         return TrainingSet(X, y, np.array(flags, dtype=bool))
-    return LabeledSample(X, y, schema.domain)
+    return LabeledSample(X, y)
 
 
 def ref_save_csv(path, data, schema=None):
@@ -301,8 +299,6 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got.y.view(np.int64), want.y.view(np.int64))
     if isinstance(want, TrainingSet):
         np.testing.assert_array_equal(got.is_target, want.is_target)
-    else:
-        assert got.domain == want.domain
 
 
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -355,8 +351,7 @@ def csv_tables(draw):
                               else draw(number_cells()) for c in names))
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
     schema = CsvSchema(label_col="y", feature_cols=chosen,
-                       domain_col="dom" if with_domain else None,
-                       domain=draw(st.sampled_from(["source", "target"])))
+                       domain_col="dom" if with_domain else None)
     return text, schema
 
 

@@ -14,7 +14,7 @@ class TestIdentityCase:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
         y = rng.normal(size=30)
-        target = LabeledSample(X.copy(), y.copy(), "target")
+        target = LabeledSample(X.copy(), y.copy())
         est = estimate_y_discrepancy(X, y, np.full(30, 1 / 30), target,
                                      arch=ArchSpec((8,)),
                                      config=FitConfig(4, 16, seed=0))
@@ -68,7 +68,7 @@ class TestMonotoneBudget:
         src_x = rng.normal(size=(40, 2))
         src_y = labeling_fn(src_x)
         tgt_x = rng.normal(0.5, 1.0, size=(20, 2))
-        target = LabeledSample(tgt_x, labeling_fn(tgt_x), "target")
+        target = LabeledSample(tgt_x, labeling_fn(tgt_x))
         w = np.full(40, 1 / 40)
         values = [estimate_y_discrepancy(src_x, src_y, w, target,
                                          arch=ArchSpec((8,), 0.5),
@@ -99,7 +99,7 @@ class TestGridOracle:
             return tgt - src
 
         true_max = np.abs(gap(A, B)).max()
-        target = LabeledSample(tgt_x, tgt_y, "target")
+        target = LabeledSample(tgt_x, tgt_y)
         est = estimate_y_discrepancy(src_x, src_y, src_w, target,
                                      arch=ArchSpec((), clip),
                                      config=FitConfig(400, 4, 0.02, 3))
@@ -136,13 +136,13 @@ class TestBoundDirection:
 class TestValidation:
     def test_negative_weights_rejected(self):
         X = np.ones((3, 2))
-        target = LabeledSample(X, np.ones(3), "target")
+        target = LabeledSample(X, np.ones(3))
         with pytest.raises(ValueError, match="nonnegative"):
             estimate_y_discrepancy(X, np.ones(3), np.array([0.5, -0.1, 0.6]),
                                    target)
 
     def test_feature_mismatch_rejected(self):
-        target = LabeledSample(np.ones((3, 3)), np.ones(3), "target")
+        target = LabeledSample(np.ones((3, 3)), np.ones(3))
         with pytest.raises(ValueError, match="feature"):
             estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),
                                    np.full(3, 1 / 3), target)
@@ -154,7 +154,7 @@ class TestValidation:
         # or turned the ascent into descent (lr); the schedule now comes
         # only as a FitConfig, which refuses them
         X = np.ones((3, 2))
-        target = LabeledSample(X, np.ones(3), "target")
+        target = LabeledSample(X, np.ones(3))
         (field, value), = bad.items()
         with pytest.raises(ValueError, match=f"{field} must be"):
             estimate_y_discrepancy(X, np.ones(3), np.full(3, 1 / 3), target,
@@ -168,7 +168,7 @@ class TestValidation:
             raise AssertionError("a network was built")
 
         monkeypatch.setattr(discrepancy.ArchSpec, "build", no_network)
-        target = LabeledSample(np.ones((0, 2)), np.ones(0), "target")
+        target = LabeledSample(np.ones((0, 2)), np.ones(0))
         with pytest.raises(ValueError, match="target sample is empty"):
             estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),
                                    np.full(3, 1 / 3), target)

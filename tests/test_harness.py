@@ -7,11 +7,12 @@ import pytest
 
 from wann import baselines, harness, training
 from wann.data import LabeledSample, MixtureShiftSpec, gen_mixture_shift
-from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig, MethodSpec,
-                          build_comparison_table, compute_metrics,
-                          emit_plot_data, export_results, run_experiment,
-                          run_method)
-from wann.nn import ArchSpec, FitConfig, forward
+from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig,
+                          MethodConfigs, MethodSpec, build_comparison_table,
+                          compute_metrics, emit_plot_data, export_results,
+                          run_experiment, run_method)
+from wann.nn import ArchSpec, FitConfig, fit_regression, forward
+from wann.training import build_wann_model, fit_wann, pretrain_weighter
 from wann.baselines import uniform_fit
 from wann.results import RunResult, parse_kv_lines, parse_run_file, write_run_file
 
@@ -166,9 +167,15 @@ class TestRunExperiment:
         grid = data.validation
         net, _ = uniform_fit(data.train, ArchSpec((6,), clip=1.0),
                              FitConfig(epochs=3, batch_size=16, seed=11),
-                             validation=(grid.X, grid.y))
+                             validation=grid)
         metrics = compute_metrics(forward(net, grid.X), grid.y)
         assert results[0].final_mse == metrics.mse
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError,
+                           match=f"n_workers must be >= 1, got {workers}"):
+            ExperimentConfig(scenario=TINY, methods=[], n_workers=workers)
 
     def test_unique_method_names_enforced(self):
         with pytest.raises(ValueError, match="unique"):
@@ -240,6 +247,27 @@ class TestMethodSpec:
         assert trained.final_mse == trained.curve[-1]
         assert untrained.curve == []
 
+    @pytest.mark.parametrize("method", ["wann", "uniform"])
+    def test_final_mse_is_the_last_curve_point(self, method):
+        # both trainers record the curve through FitTrace.record, and the
+        # harness scores the predictions of the last epoch
+        data = gen_mixture_shift(replace(TINY, seed=8))
+        train, validation = data.train, data.validation
+        configs = MethodConfigs.from_params(FAST, seed=8)
+        if method == "wann":
+            model = build_wann_model(2, configs.arch, configs.wann)
+            pretrain_weighter(model, train, configs.wann)
+            trace = fit_wann(model, train, configs.wann, validation)
+        else:
+            net = configs.arch.build(2, rng=np.random.default_rng(8))
+            trace = fit_regression(net, train.X, train.y,
+                                   np.full(len(train), 1.0 / len(train)),
+                                   configs.fit, validation)
+        metrics = compute_metrics(trace.predictions, validation.y)
+        assert trace.val_mse[-1] == metrics.mse
+        result = run_method(MethodSpec(method, dict(FAST)), train,
+                            validation, seed=8)
+        assert result.final_mse == trace.val_mse[-1]
 
     @pytest.fixture
     def no_training(self, monkeypatch):
@@ -247,9 +275,11 @@ class TestMethodSpec:
             raise AssertionError("training started")
 
         # every method trains through fit_regression first (wann in
-        # pretrain_weighter)
+        # pretrain_weighter), after kmm and kliep solve for their weights
         for module in (harness, baselines, training):
             monkeypatch.setattr(module, "fit_regression", refuse)
+        monkeypatch.setattr(baselines, "kmm_weights", refuse)
+        monkeypatch.setattr(baselines, "kliep_weights", refuse)
 
     @pytest.mark.parametrize("method,bad,message", [
         *[(method, bad, message) for method in sorted(RUNNERS)
@@ -258,6 +288,8 @@ class TestMethodSpec:
                                ({"lr": -0.5}, "lr must be finite"),
                                ({"hidden": (0,)}, "layer 0 has 0 units"),
                                ({"clip": 0.0}, "clip must be finite"),
+                               ({"clip": float("nan")},
+                                "clip must be finite and positive, got nan"),
                                # keys of other methods are checked too
                                ({"pretrain_epochs": -2},
                                 "pretrain_epochs must be >= 0"),
@@ -285,8 +317,7 @@ class TestMethodSpec:
 
         monkeypatch.setitem(harness.RUNNERS, "uniform", spy)
         data = gen_mixture_shift(replace(TINY, seed=7))
-        narrow = LabeledSample(data.validation.X[:, :1], data.validation.y,
-                               "target")
+        narrow = LabeledSample(data.validation.X[:, :1], data.validation.y)
         result = run_method(MethodSpec("uniform", dict(FAST)), data.train,
                             narrow, seed=7)
         assert result.error == ("ValueError: validation sample has 1 "

@@ -4,7 +4,10 @@ import inspect
 import numpy as np
 import pytest
 
+from wann.baselines import KliepConfig, KmmConfig, TradaboostConfig
+from wann.data import LabeledSample, MixtureShiftSpec
 from wann.discrepancy import estimate_y_discrepancy
+from wann.harness import ExperimentConfig, MethodConfigs
 from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
                      TrainingDivergedError, _backward, _forward_cache,
                      adam_step, build_mlp, clip_weights, fit_regression,
@@ -259,7 +262,7 @@ class TestFitRegression:
         X, y = rng.normal(size=(8, 3)), rng.normal(size=8)
         trace = fit_regression(net, X, y, np.full(8, 0.125),
                                FitConfig(epochs=0, batch_size=4, seed=0),
-                               validation=(X, y))
+                               validation=LabeledSample(X, y))
         np.testing.assert_array_equal(flatten_params(net), before)
         assert trace.val_mse == []
 
@@ -273,7 +276,7 @@ class TestFitRegression:
             net = build_mlp(3, (5,), rng=np.random.default_rng(7))
             trace = fit_regression(net, X, y, w,
                                    FitConfig(epochs=10, batch_size=8, seed=3),
-                                   validation=(X, y))
+                                   validation=LabeledSample(X, y))
             runs.append((net.params.copy(), trace.val_mse))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert len(runs[0][1]) == 10 and runs[0][1] == runs[1][1]
@@ -326,8 +329,8 @@ class TestBuildMlp:
 
 
 class TestCarriersRejectBadValues:
-    """``FitConfig`` and ``Mlp`` check the schedule and the network class
-    when they are made; no trainer checks them again."""
+    """The configurations and ``Mlp`` check the schedule and the network
+    class when they are made; no trainer checks them again."""
 
     @pytest.mark.parametrize("field,value,message", [
         ("epochs", -3, "epochs must be >= 0, got -3"),
@@ -351,19 +354,38 @@ class TestCarriersRejectBadValues:
         ((4,), float("inf"), "clip must be finite and positive, got inf"),
         ((4,), None, "clip must be finite and positive, got None"),
     ])
-    def test_arch_spec_build(self, hidden, clip, message):
+    @pytest.mark.parametrize("make", [
+        ArchSpec,
+        lambda hidden, clip: build_mlp(3, hidden, clip=clip,
+                                       rng=np.random.default_rng(0)),
+    ], ids=["ArchSpec", "Mlp"])
+    def test_arch_spec_build(self, make, hidden, clip, message):
+        # the class checks itself before any network is built; a network
+        # built by hand checks the same
         with pytest.raises(ValueError, match=message):
-            ArchSpec(hidden, clip).build(3, rng=np.random.default_rng(0))
+            make(hidden, clip)
 
-    @pytest.mark.parametrize("carrier", [FitConfig, WannConfig])
-    @pytest.mark.parametrize("field,value", [("epochs", -3),
-                                             ("batch_size", 0)])
-    def test_a_field_cannot_be_assigned_past_the_check(self, carrier, field,
-                                                       value):
-        config = carrier(epochs=2, batch_size=4)
+    @pytest.mark.parametrize("carrier,kwargs,field,value", [
+        *[(carrier, {"epochs": 2, "batch_size": 4}, field, value)
+          for carrier in (FitConfig, WannConfig)
+          for field, value in (("epochs", -3), ("batch_size", 0))],
+        (ArchSpec, {}, "hidden", (0,)),
+        (ArchSpec, {}, "clip", 0.0),
+        (KmmConfig, {}, "tol", -1.0),
+        (KliepConfig, {}, "n_centers", 0),
+        (TradaboostConfig, {}, "n_iterations", 0),
+        (MixtureShiftSpec, {"dim": 2}, "target_fraction", 0.0),
+        (ExperimentConfig, {"scenario": MixtureShiftSpec(dim=2),
+                            "methods": []}, "n_workers", 0),
+        (MethodConfigs.from_params, {"params": {}, "seed": 0}, "fit", None),
+    ])
+    def test_a_field_cannot_be_assigned_past_the_check(self, carrier, kwargs,
+                                                       field, value):
+        config = carrier(**kwargs)
+        before = getattr(config, field)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, field, value)
-        assert (config.epochs, config.batch_size) == (2, 4)
+        assert getattr(config, field) == before
 
     def test_clip_is_required(self):
         with pytest.raises(TypeError, match="clip"):

@@ -344,28 +344,28 @@ class TestFitWann:
         model, train, config = self.make_ready()
         config = replace(config, epochs=0)
         before = params_of(model.task).copy()
-        val = LabeledSample(train.X[:5], train.y[:5], "target")
-        result = fit_wann(model, train, config, validation=val)
-        assert result.curve == []
+        val = LabeledSample(train.X[:5], train.y[:5])
+        trace = fit_wann(model, train, config, validation=val)
+        assert trace.val_mse == []
         np.testing.assert_array_equal(params_of(model.task), before)
 
     def test_same_seed_identical_results(self):
         curves, weights = [], []
         for _ in range(2):
             model, train, config = self.make_ready(seed=14)
-            val = LabeledSample(train.X[:10], train.y[:10], "target")
-            result = fit_wann(model, train, config, validation=val)
-            curves.append(result.curve)
-            weights.append(result.weights)
+            val = LabeledSample(train.X[:10], train.y[:10])
+            trace = fit_wann(model, train, config, validation=val)
+            curves.append(trace.val_mse)
+            weights.append(model.instance_weights(train.X))
         assert curves[0] == curves[1]
         np.testing.assert_array_equal(weights[0], weights[1])
 
     def test_curve_length_equals_epochs(self):
         model, train, config = self.make_ready(seed=15)
-        val = LabeledSample(train.X[:10], train.y[:10], "target")
-        result = fit_wann(model, train, config, validation=val)
-        assert len(result.curve) == config.epochs
-        assert result.final_mse is not None
+        val = LabeledSample(train.X[:10], train.y[:10])
+        trace = fit_wann(model, train, config, validation=val)
+        assert len(trace.val_mse) == config.epochs
+        assert trace.predictions is not None
 
     @given(m=st.integers(2, 40), target_fraction=st.floats(0.0, 1.0),
            batch_size=st.integers(1, 40), epochs=st.integers(0, 3))
@@ -376,34 +376,39 @@ class TestFitWann:
         n_target = min(max(round(target_fraction * m), 1), m - 1)
         batch_size = min(batch_size, m)
         train = small_train(k=m, d=2, n_target=n_target, seed=m)
-        val = LabeledSample(train.X, train.y, "target")
+        val = LabeledSample(train.X, train.y)
         results = []
         for _ in range(2):
             config = WannConfig(epochs=epochs, batch_size=batch_size,
                                 pretrain_epochs=2, seed=31)
             model = build_wann_model(2, ArchSpec((4,)), config)
             pretrain_weighter(model, train, config)
-            result = fit_wann(model, train, config, validation=val)
+            trace = fit_wann(model, train, config, validation=val)
             err = predict(model, val.X) - val.y
-            assert result.final_mse == float(np.mean(err * err))
-            assert len(result.curve) == epochs
-            results.append(result)
-        first, second = results
-        assert first.curve == second.curve
-        assert first.final_mse == second.final_mse
-        np.testing.assert_array_equal(first.weights, second.weights)
+            if epochs:
+                # the last epoch's MSE is the final model's
+                assert trace.val_mse[-1] == float(np.mean(err * err))
+            else:
+                assert trace.predictions is None
+            assert len(trace.val_mse) == epochs
+            results.append((trace, model.instance_weights(train.X)))
+        (first, first_weights), (second, second_weights) = results
+        assert first.val_mse == second.val_mse
+        np.testing.assert_array_equal(first.predictions, second.predictions)
+        np.testing.assert_array_equal(first_weights, second_weights)
 
     def test_batch_above_row_count_is_one_full_batch(self):
         results = []
         for extra_rows in (0, 1):
             model, train, config = self.make_ready(seed=16)
             config = replace(config, batch_size=len(train) + extra_rows)
-            val = LabeledSample(train.X[:10], train.y[:10], "target")
-            results.append(fit_wann(model, train, config, validation=val))
-        full, above = results
-        assert full.curve == above.curve
+            val = LabeledSample(train.X[:10], train.y[:10])
+            trace = fit_wann(model, train, config, validation=val)
+            results.append((trace, model.instance_weights(train.X)))
+        (full, full_weights), (above, above_weights) = results
+        assert full.val_mse == above.val_mse
         np.testing.assert_array_equal(full.predictions, above.predictions)
-        np.testing.assert_array_equal(full.weights, above.weights)
+        np.testing.assert_array_equal(full_weights, above_weights)
 
     def test_requires_both_domains(self):
         model, train, config = self.make_ready(seed=17)
