@@ -59,6 +59,15 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_arch(widths, clip) -> None:
+    """Raise ``ValueError`` for a layer width below 1 or a clip that is
+    not finite and positive."""
+    for k, width in enumerate(widths):
+        if width < 1:
+            raise ValueError(f"layer {k} has {width} units, needs at least 1")
+    _require_positive("clip", clip)
+
+
 @dataclass
 class DenseLayer:
     """Fully connected layer: out = x @ weights + biases, followed by a
@@ -129,10 +138,7 @@ class Mlp:
                 raise ValueError(
                     f"layer dims incompatible: {prev.n_outputs} -> {nxt.n_inputs}"
                 )
-        for k, layer in enumerate(self.layers):
-            if layer.n_outputs < 1:
-                raise ValueError(f"layer {k} has 0 units")
-        _require_positive("clip", self.clip)
+        _check_arch([layer.n_outputs for layer in self.layers], self.clip)
         self.params, weights, biases = _pack(
             [layer.weights for layer in self.layers],
             [layer.biases for layer in self.layers])
@@ -168,11 +174,7 @@ class ArchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        for k, width in enumerate(self.hidden):
-            if width < 1:
-                raise ValueError(f"layer {k} has {width} units, "
-                                 f"needs at least 1")
-        _require_positive("clip", self.clip)
+        _check_arch(self.hidden, self.clip)
 
     def build(self, n_inputs: int, *, rng: np.random.Generator) -> "Mlp":
         return build_mlp(n_inputs, self.hidden, clip=self.clip, rng=rng)

@@ -7,12 +7,12 @@ import pytest
 
 from wann import baselines, harness, training
 from wann.data import LabeledSample, MixtureShiftSpec, gen_mixture_shift
-from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig,
-                          MethodConfigs, MethodSpec, build_comparison_table,
-                          compute_metrics, emit_plot_data, export_results,
-                          run_experiment, run_method)
-from wann.nn import ArchSpec, FitConfig, fit_regression, forward
-from wann.training import build_wann_model, fit_wann, pretrain_weighter
+from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig, MethodSpec,
+                          build_comparison_table, compute_metrics,
+                          emit_plot_data, export_results, run_experiment,
+                          run_method)
+from wann.nn import ArchSpec, FitConfig, forward
+from wann.training import predict
 from wann.baselines import uniform_fit
 from wann.results import RunResult, parse_kv_lines, parse_run_file, write_run_file
 
@@ -225,49 +225,35 @@ class TestMethodSpec:
         write_run_file(result, tmp_path / "run.txt")
         assert "predictions" not in (tmp_path / "run.txt").read_text()
 
-    @pytest.mark.parametrize("method", ["uniform", "target_only", "kmm",
-                                        "kliep"])
+    @pytest.mark.parametrize("method", ["wann", "uniform", "target_only",
+                                        "kmm", "kliep"])
     def test_last_epoch_predictions_are_reused(self, monkeypatch, method):
         # the fit's last validation forward already gives the predictions;
-        # only a fit of zero epochs needs one more
+        # only a fit of zero epochs needs one more, whose MSE is the final
         data = gen_mixture_shift(replace(TINY, seed=5))
+        validation = data.validation
         calls = []
 
-        def counting_forward(net, X):
-            calls.append(len(X))
-            return forward(net, X)
+        def counting(predictor):
+            def predict_and_keep(model, X):
+                calls.append(predictor(model, X))
+                return calls[-1]
+            return predict_and_keep
 
-        monkeypatch.setattr(harness, "forward", counting_forward)
+        monkeypatch.setattr(harness, "forward", counting(forward))
+        monkeypatch.setattr(harness, "predict", counting(predict))
         trained = run_method(MethodSpec(method, dict(FAST)), data.train,
-                             data.validation, seed=5)
+                             validation, seed=5)
+        assert trained.error is None and calls == []
+        # the trainer's own last-epoch MSE is the run's final MSE
+        assert (compute_metrics(trained.predictions, validation.y).mse
+                == trained.curve[-1] == trained.final_mse)
         untrained = run_method(MethodSpec(method, dict(FAST, epochs=0)),
-                               data.train, data.validation, seed=5)
-        assert trained.error is None and untrained.error is None
-        assert calls == [len(data.validation.y)]
-        assert trained.final_mse == trained.curve[-1]
-        assert untrained.curve == []
-
-    @pytest.mark.parametrize("method", ["wann", "uniform"])
-    def test_final_mse_is_the_last_curve_point(self, method):
-        # both trainers record the curve through FitTrace.record, and the
-        # harness scores the predictions of the last epoch
-        data = gen_mixture_shift(replace(TINY, seed=8))
-        train, validation = data.train, data.validation
-        configs = MethodConfigs.from_params(FAST, seed=8)
-        if method == "wann":
-            model = build_wann_model(2, configs.arch, configs.wann)
-            pretrain_weighter(model, train, configs.wann)
-            trace = fit_wann(model, train, configs.wann, validation)
-        else:
-            net = configs.arch.build(2, rng=np.random.default_rng(8))
-            trace = fit_regression(net, train.X, train.y,
-                                   np.full(len(train), 1.0 / len(train)),
-                                   configs.fit, validation)
-        metrics = compute_metrics(trace.predictions, validation.y)
-        assert trace.val_mse[-1] == metrics.mse
-        result = run_method(MethodSpec(method, dict(FAST)), train,
-                            validation, seed=8)
-        assert result.final_mse == trace.val_mse[-1]
+                               data.train, validation, seed=5)
+        assert untrained.error is None and untrained.curve == []
+        assert len(calls) == 1 and calls[0].shape == validation.y.shape
+        err = calls[0] - validation.y
+        assert untrained.final_mse == float(np.mean(err * err))
 
     @pytest.fixture
     def no_training(self, monkeypatch):
