@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,28 +45,38 @@ PARAM_KEYS = frozenset(_ARCH_KEYS + _FIT_KEYS + _WANN_KEYS + _KMM_KEYS
                        + _KLIEP_KEYS + ("n_iterations",))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodSpec:
     """One method of an experiment.
 
     ``name`` names the runner (a key of ``RUNNERS``) and ``params``
-    holds hyper-parameter overrides (see ``PARAM_KEYS``).
+    holds hyper-parameter overrides (see ``PARAM_KEYS``), kept as a
+    read-only copy: the spec is checked once, when made.
     """
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         unknown = sorted(set(self.params) - PARAM_KEYS)
         if unknown:
             raise ValueError(f"unknown method parameter(s) {unknown} for "
                              f"{self.name!r}; accepted: {sorted(PARAM_KEYS)}")
+        object.__setattr__(self, "params",
+                           MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; worker processes get a plain copy
+        return MethodSpec, (self.name, dict(self.params))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A seeded comparison; ``methods`` may be given as any sequence and
+    is kept as a tuple."""
+
     scenario: MixtureShiftSpec
-    methods: list[MethodSpec]
+    methods: tuple[MethodSpec, ...]
     n_repeats: int = 1
     base_seed: int = 0
     out_dir: str | None = None
@@ -76,12 +87,13 @@ class ExperimentConfig:
             raise ValueError("n_repeats must be >= 1")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ValueError("method names must be unique")
 
 
-def _pick(params: dict, keys: tuple[str, ...]) -> dict:
+def _pick(params: Mapping, keys: tuple[str, ...]) -> dict:
     return {key: params[key] for key in keys if key in params}
 
 
@@ -97,7 +109,7 @@ class MethodConfigs:
     tradaboost: baselines.TradaboostConfig
 
     @classmethod
-    def from_params(cls, params: dict, seed: int) -> "MethodConfigs":
+    def from_params(cls, params: Mapping, seed: int) -> "MethodConfigs":
         """Make each configuration; each checks its keys when made."""
         arch = ArchSpec(**_pick(params, _ARCH_KEYS))
         fit = FitConfig(seed=seed, **_pick(params, _FIT_KEYS))
@@ -216,8 +228,8 @@ def run_method(spec: MethodSpec, train: TrainingSet,
     return result
 
 
-def _run_repeat(scenario: MixtureShiftSpec, methods: list[MethodSpec],
-                seed: int) -> list[RunResult]:
+def _run_repeat(scenario: MixtureShiftSpec,
+                methods: tuple[MethodSpec, ...], seed: int) -> list[RunResult]:
     data = gen_mixture_shift(replace(scenario, seed=seed))
     return [run_method(spec, data.train, data.validation, seed)
             for spec in methods]

@@ -265,6 +265,29 @@ class TestYdisc:
         assert proc.returncode == 1
         assert "missing column 'x1'" in proc.stderr
 
+    @pytest.mark.parametrize("role, column, name", [
+        ("source", "x1", "source_x"), ("source", "y", "source_y"),
+        ("target", "x0", "target.X"), ("target", "y", "target.y")])
+    def test_non_finite_cell_named(self, role, column, name,
+                                   two_feature_csvs, tmp_path):
+        # load_csv reads "nan" and "inf" as numbers; the estimator refuses
+        # them before training instead of reporting a divergence
+        files = {"source": two_feature_csvs / "source.csv",
+                 "target": two_feature_csvs / "test.csv"}
+        lines = files[role].read_text(encoding="utf-8").splitlines()
+        at = lines[0].split(",").index(column)
+        cells = lines[3].split(",")
+        cells[at] = "nan"
+        lines[3] = ",".join(cells)
+        files[role] = tmp_path / f"{role}.csv"
+        files[role].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_cli("ydisc", "--source", str(files["source"]),
+                       "--target", str(files["target"]), "--epochs", "3",
+                       "--hidden", "6")
+        assert proc.returncode == 1
+        assert f"{name} has a non-finite value in row 2" in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_file_io_error(self, tmp_path):
         proc = run_cli("ydisc", "--source", str(tmp_path / "nope.csv"),
                        "--target", str(tmp_path / "nope.csv"))

@@ -1,10 +1,17 @@
+import collections
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wann import discrepancy
 from wann.data import LabeledSample, TrainingSet, gen_uniform_shift_1d, labeling_fn
 from wann.discrepancy import estimate_y_discrepancy, gap_weights
-from wann.nn import ArchSpec, FitConfig
+from wann.nn import ArchSpec, FitConfig, TrainingDivergedError
 from wann.training import (WannConfig, build_wann_model, fit_wann,
                            pretrain_weighter, training_weights)
 
@@ -172,3 +179,178 @@ class TestValidation:
         with pytest.raises(ValueError, match="target sample is empty"):
             estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),
                                    np.full(3, 1 / 3), target)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["source_x", "source_y", "source_w",
+                                      "target.X", "target.y"])
+    def test_non_finite_input_rejected_by_name_before_any_network(
+            self, name, bad, monkeypatch):
+        # a NaN weight once read "training diverged at epoch 0"
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(discrepancy.ArchSpec, "build", no_network)
+        arrays = {"source_x": np.ones((4, 2)), "source_y": np.ones(4),
+                  "source_w": np.full(4, 0.25), "target.X": np.ones((3, 2)),
+                  "target.y": np.ones(3)}
+        arrays[name][2] = bad
+        target = LabeledSample(arrays["target.X"], arrays["target.y"])
+        with pytest.raises(ValueError,
+                           match=rf"{name} has a non-finite value in row 2"):
+            estimate_y_discrepancy(arrays["source_x"], arrays["source_y"],
+                                   arrays["source_w"], target)
+
+
+# 40 source and 15 target rows at batch 16: 4 ascent steps per epoch
+STEPS_PER_EPOCH = 4
+
+
+def _shifted_draw():
+    rng = np.random.default_rng(6)
+    src_x = rng.normal(size=(40, 3))
+    tgt_x = rng.normal(0.5, 1.0, size=(15, 3))
+    return (src_x, labeling_fn(src_x), rng.uniform(size=40) / 20,
+            LabeledSample(tgt_x, labeling_fn(tgt_x)))
+
+
+def _estimate(epochs=6):
+    return estimate_y_discrepancy(*_shifted_draw(), arch=ArchSpec((8,)),
+                                  config=FitConfig(epochs, 16, 0.01, seed=3))
+
+
+def _diverge_in(monkeypatch, epochs: dict[float, int]) -> None:
+    """Make the ascent of each sign in ``epochs`` diverge in that epoch:
+    its net's parameters turn NaN after the epoch's first step."""
+    steps: dict[int, list] = {}
+    ascend, adam_step = discrepancy._ascend, discrepancy.adam_step
+
+    def tagged_ascend(net, sign, *args, **kwargs):
+        if sign in epochs:
+            steps[id(net)] = [epochs[sign] * STEPS_PER_EPOCH + 1, 0]
+        return ascend(net, sign, *args, **kwargs)
+
+    def poisoning_step(net, state):
+        adam_step(net, state)
+        count = steps.get(id(net))
+        if count is not None:
+            count[1] += 1
+            if count[1] == count[0]:
+                net.params[:] = np.nan
+
+    monkeypatch.setattr(discrepancy, "_ascend", tagged_ascend)
+    monkeypatch.setattr(discrepancy, "adam_step", poisoning_step)
+
+
+class TestConcurrentSides:
+    def test_worker_count_leaves_every_bit(self, monkeypatch):
+        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: 1)
+        serial = _estimate()
+        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: 2)
+        assert _estimate() == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_minus_side_runs_on_a_worker_thread_only_with_two(
+            self, workers, monkeypatch):
+        seen = {}
+        ascend = discrepancy._ascend
+
+        def recording_ascend(net, sign, *args, **kwargs):
+            seen[sign] = (threading.get_ident(), np.geterr()["over"])
+            return ascend(net, sign, *args, **kwargs)
+
+        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: workers)
+        monkeypatch.setattr(discrepancy, "_ascend", recording_ascend)
+        with np.errstate(over="raise"):
+            _estimate(epochs=1)
+        caller = threading.get_ident()
+        assert seen[1.0] == (caller, "raise")
+        # the worker runs in the caller's numpy error state
+        assert seen[-1.0][1] == "raise"
+        assert (seen[-1.0][0] != caller) == (workers == 2)
+
+    @pytest.mark.parametrize("blas", [1, 2, None])
+    def test_two_workers_only_on_one_blas_thread(self, blas, monkeypatch):
+        monkeypatch.setattr(discrepancy, "_blas_threads", lambda: blas)
+        cores = len(os.sched_getaffinity(0))
+        assert discrepancy._ascent_workers() == (min(2, cores) if blas == 1
+                                                 else 1)
+
+    def test_replaced_engine_function_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(discrepancy, "_blas_threads", lambda: 1)
+        forward = discrepancy.forward
+        monkeypatch.setattr(discrepancy, "forward",
+                            lambda net, X: forward(net, X))
+        assert discrepancy._ascent_workers() == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_minus_side_divergence_names_its_epoch(self, workers,
+                                                   monkeypatch):
+        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: workers)
+        _diverge_in(monkeypatch, {-1.0: 2})
+        with pytest.raises(TrainingDivergedError) as err:
+            _estimate()
+        assert err.value.epoch == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_plus_side_error_wins_when_both_fail(self, workers, monkeypatch):
+        # the -d side fails first, in epoch 0; the +d side in epoch 3
+        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: workers)
+        _diverge_in(monkeypatch, {1.0: 3, -1.0: 0})
+        with pytest.raises(TrainingDivergedError) as err:
+            _estimate()
+        assert err.value.epoch == 3
+
+    def test_plus_side_failure_stops_the_worker_early(self, monkeypatch):
+        epochs = 200
+        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: 2)
+        _diverge_in(monkeypatch, {1.0: 0})
+        ascend, adam_step = discrepancy._ascend, discrepancy.adam_step
+        minus, steps = [], collections.Counter()
+
+        def counting_ascend(net, sign, *args, **kwargs):
+            if sign < 0:
+                minus.append(net)
+            return ascend(net, sign, *args, **kwargs)
+
+        def counting_step(net, state):
+            adam_step(net, state)
+            steps[id(net)] += 1
+
+        monkeypatch.setattr(discrepancy, "_ascend", counting_ascend)
+        monkeypatch.setattr(discrepancy, "adam_step", counting_step)
+        with pytest.raises(TrainingDivergedError) as err:
+            _estimate(epochs)
+        assert err.value.epoch == 0
+        assert steps[id(minus[0])] < epochs * STEPS_PER_EPOCH
+
+    def test_one_blas_thread_takes_the_concurrent_path(self):
+        # a fresh process, so the BLAS reads its thread count from the
+        # environment; the serial result comes from the same process
+        script = (
+            "import os\n"
+            "from wann import discrepancy\n"
+            "from test_discrepancy import _estimate\n"
+            "workers = discrepancy._ascent_workers()\n"
+            "concurrent = _estimate()\n"
+            "discrepancy._ascent_workers = lambda: 1\n"
+            "serial = _estimate()\n"
+            "print(discrepancy._blas_threads(), workers,\n"
+            "      len(os.sched_getaffinity(0)))\n"
+            "print(*(v.hex() for v in (concurrent.value,\n"
+            "      concurrent.positive_side, concurrent.negative_side)))\n"
+            "print(*(v.hex() for v in (serial.value, serial.positive_side,\n"
+            "      serial.negative_side)))\n")
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(here.parent / "src"), str(here),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        threads, concurrent, serial = proc.stdout.splitlines()
+        blas, workers, cores = threads.split()
+        if blas == "None":
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        assert (blas, int(workers)) == ("1", min(2, int(cores)))
+        assert concurrent == serial

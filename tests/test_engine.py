@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wann.data import TrainingSet, labeling_fn
-from wann.discrepancy import _ascend
+from wann.data import LabeledSample, TrainingSet, labeling_fn
+from wann.discrepancy import _ascend, _pool
 from wann.nn import (AdamState, ArchSpec, FitConfig, adam_step, build_mlp,
                      fit_regression, forward, weighted_mse_grad)
 from wann.training import WannConfig, WannModel, build_wann_model, wann_step
@@ -196,7 +196,7 @@ def test_ascend_matches_reference(sign):
     src_w = np.full(13, 1.0 / 13)
     net = build_mlp(3, (10, 6), clip=1.0, rng=np.random.default_rng(11))
     ref = RefNet(net, lr=0.01)
-    _ascend(net, sign, src_x, src_y, src_w, tgt_x, tgt_y,
+    _ascend(net, sign, _pool(src_x, src_y, src_w, LabeledSample(tgt_x, tgt_y)),
             FitConfig(epochs=3, batch_size=5, lr=0.01),
             rng=np.random.default_rng(12))
 

@@ -1,4 +1,6 @@
+import dataclasses
 import filecmp
+import pickle
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -177,6 +179,12 @@ class TestRunExperiment:
                            match=f"n_workers must be >= 1, got {workers}"):
             ExperimentConfig(scenario=TINY, methods=[], n_workers=workers)
 
+    def test_methods_kept_as_a_tuple(self):
+        methods = [MethodSpec("uniform", dict(FAST))]
+        config = ExperimentConfig(scenario=TINY, methods=methods)
+        methods.append(MethodSpec("wann"))
+        assert config.methods == (MethodSpec("uniform", dict(FAST)),)
+
     def test_unique_method_names_enforced(self):
         with pytest.raises(ValueError, match="unique"):
             ExperimentConfig(scenario=TINY,
@@ -205,6 +213,17 @@ class TestMethodSpec:
         with pytest.raises(ValueError, match="'epoch'") as err:
             MethodSpec("wann", {"epoch": 5})
         assert "'epochs'" in str(err.value)  # the accepted keys are listed
+
+    def test_spec_is_read_only_and_pickles(self):
+        given = {"epochs": 5}
+        spec = MethodSpec("uniform", given)
+        given["epoch"] = 1  # the spec holds its own copy
+        with pytest.raises(TypeError):
+            spec.params["epoch"] = 5  # once silently ignored by run_method
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.params = {"epoch": 5}
+        assert dict(spec.params) == {"epochs": 5}
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_accepted_keys_are_the_documented_eleven(self):
         assert PARAM_KEYS == {
