@@ -3,10 +3,10 @@
 Uniform weighting and target-only fits, kernel mean matching (KMM),
 KLIEP density-ratio weights and a reverse-boosting regression transfer
 ensemble. The two kernel methods are solved without an external QP
-solver: KMM by accelerated projected gradient that ends with one exact
-linear solve on the face it has found, KLIEP by projected gradient
-ascent. Desk-scale sample sizes keep these methods adequate, and the
-test suite validates them against grid-search oracles.
+solver: KMM by accelerated projected gradient, finished by active-set
+steps of exact linear solves on the faces it finds, KLIEP by projected
+gradient ascent. Desk-scale sample sizes keep these methods adequate,
+and the test suite validates them against grid-search oracles.
 """
 
 from __future__ import annotations
@@ -166,10 +166,11 @@ class KmmConfig:
     max|w - P(w - step * grad f(w))| is at most ``tol``, where P is the
     projection onto the constraints. The residual is in the units of the
     weights and is zero exactly at the optimum. The gradient steps alone
-    stall it near 1e-8 in float64; the exact solve on the face of the
-    iterate (see ``kmm_weights``) reaches about 1e-15 where it succeeds,
-    so there a ``tol`` far below 1e-8 is met too. ``max_iter`` only caps
-    the iterations. ``B`` must be finite and positive.
+    stall it near 1e-8 in float64; the active-set finish, tried after 32,
+    64, 128, ... kernel products (see ``kmm_weights``), reaches about
+    1e-15 where it succeeds, so there a ``tol`` far below 1e-8 is met
+    too. ``max_iter`` only caps the iterations. ``B`` must be finite and
+    positive.
     """
 
     kernel_bandwidth: float | None = None
@@ -240,10 +241,14 @@ def _perron_bounds(K: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-# consecutive kernel products on one face after which kmm_weights solves
-# that face exactly; fewer try large early faces that fail, at a full
-# Cholesky each
-FACE_PRODUCTS = 10
+# kernel products after which kmm_weights first tries its active-set
+# finish, and again each time the count doubles; earlier tries solve on
+# the 500+ row faces of the first iterates, at a large factorization each
+FACE_PRODUCTS = 32
+# face solves one attempt of the finish may make, and the solves in a row
+# that may fail to move fewer rows than its fewest before it gives up
+FACE_SOLVES = 32
+FACE_STALLS = 3
 
 
 def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
@@ -259,15 +264,26 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     objectives do not rise, up to rounding, so the returned weights are
     the best iterate found.
 
-    The face of an iterate is its support and the rows of it at B. Once
-    one face has held for ``FACE_PRODUCTS`` kernel products, the
-    minimizer of the objective over that face (its other rows held at 0
-    or B, and the sum at a band edge when the free minimizer leaves the
-    band) is found by one Cholesky solve of the free rows' kernel block,
-    at most once per face. That point ends the loop when its free rows
-    stay inside (0, B) and it meets ``config.tol``; otherwise the loop
-    goes on unchanged. Gradient projection finds the face, the solve
-    finishes the problem (More & Toraldo 1991).
+    The face of a point is its free rows, in (0, B), and its rows at B.
+    After ``FACE_PRODUCTS`` kernel products, and again each time the
+    count doubles, a primal-dual active-set finish starts from the face
+    of the iterate (Hintermueller, Ito & Kunisch 2002). Each step solves
+    for the minimizer of the objective over the face: the other rows
+    held at 0 or B, and the sum at a band edge when the free minimizer
+    leaves the band. A solved point inside the box ends the loop when it
+    meets ``config.tol``. Otherwise the next face takes, at once, the
+    free rows the solve left in (0, B), the free rows it put at or above
+    B (held at B), the rows at 0 whose gradient, net of the band's
+    multiplier, is negative and the rows at B where it is positive. An
+    attempt gives up, and FISTA goes on from its own iterate, after
+    ``FACE_SOLVES`` solves, when one solve moves more rows than twice
+    the first face holds, or when the number of rows that move has not
+    fallen below its fewest for ``FACE_STALLS`` solves in a row (the
+    backup rule of Judice & Pires 1994 counts the same moves).
+    Intermediate solves factor the free rows' kernel block by LU; a point
+    inside the box is solved again by Cholesky, and that point is the one
+    tested and returned. Gradient projection finds the face, the solves
+    finish the problem (More & Toraldo 1991).
 
     L is the Collatz-Wielandt upper bound on the largest eigenvalue of
     the jittered kernel matrix K, from a few power steps; no
@@ -289,6 +305,7 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     if eps is None:
         eps = (math.sqrt(m) - 1.0) / math.sqrt(m)
         eps = max(eps, 1e-12)
+    B = config.B
 
     K = _gaussian_kernel(source_X, source_X, sigma)
     diagonal = np.einsum("ii->i", K)  # a writable view
@@ -311,28 +328,24 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     kappa_term = 2.0 * kappa / (m * n)
 
     def project(v: np.ndarray) -> np.ndarray:
-        return _project_box_band(v, config.B, lo, hi)
+        return _project_box_band(v, B, lo, hi)
 
-    support = rows = upper = None
-    held, face_tried = 0, False
+    support = rows = None
+    products = 0
 
     def kernel_product(x: np.ndarray) -> np.ndarray:
         # K is symmetric and projected points are sparse, so only the
         # rows on the support of x enter K @ x; the gathered rows are kept
-        # while the support holds, as it does on most iterations. The
-        # product also counts how long the face of x (its support and the
-        # rows of it at B) has held
-        nonlocal support, rows, upper, held, face_tried
+        # while the support holds, as it does on most iterations. A
+        # support of every row, as at the start, reads K itself
+        nonlocal support, rows, products
+        products += 1
         new_support = np.flatnonzero(x)
         if support is None or not np.array_equal(new_support, support):
             rows = None  # drop the old block before gathering the new one
-            support, rows, upper = new_support, K[new_support], None
-        x_on = x[support]
-        new_upper = x_on == config.B
-        if upper is None or not np.array_equal(new_upper, upper):
-            upper, held, face_tried = new_upper, 0, False
-        held += 1
-        return x_on @ rows
+            support = new_support
+            rows = K if len(support) == m else K[support]
+        return x[support] @ rows
 
     def rise(w_new: np.ndarray, Kw_new: np.ndarray, w: np.ndarray,
              Kw: np.ndarray) -> float:
@@ -349,34 +362,87 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     def residual(w: np.ndarray, Kw: np.ndarray) -> float:
         return float(np.abs(w - project(w - step * gradient(Kw))).max())
 
-    def face_solve() -> np.ndarray | None:
-        # the minimizer of f over the last product's face: the rows off
-        # the support held at 0, the rows at B (U) held there and the free
-        # rows F solving K_FF w_F = (m/n) kappa_F - B K_FU 1. When that
-        # point's sum leaves the band, one multiplier on the sum holds it
-        # at the crossed edge. None when K_FF fails to factor or the point
-        # leaves the face
-        F, U = support[~upper], support[upper]
-        block = rows[~upper]
+    def face_solve(F: np.ndarray, U: np.ndarray, exact: bool
+                   ) -> tuple[np.ndarray, float] | None:
+        # the minimizer of f over a face: the free rows F solve
+        # K_FF w_F = (m/n) kappa_F - B K_FU 1 with the rows at B (U) held
+        # there and the rest at 0 (K is exactly symmetric, so K_FU 1 is
+        # summed over K_UF's rows, one row at a time). When that point's
+        # sum leaves the band, one multiplier c on the sum holds it at the
+        # crossed edge and shifts the gradient on F to -2c/m^2; returns
+        # w_F and 2c/m^2. K_FF is factored by Cholesky when ``exact``,
+        # else by one LU solve at about two fifths of the work (the
+        # Cholesky path's two solves by the factor are LU solves too).
+        # None when K_FF fails to factor or no free row can move the sum
         rhs = np.empty((len(F), 2))
-        rhs[:, 0] = (m / n) * kappa[F] - config.B * block[:, U].sum(axis=1)
+        rhs[:, 0] = (m / n) * kappa[F] - B * K[np.ix_(U, F)].sum(axis=0)
         rhs[:, 1] = 1.0
         try:
-            chol = np.linalg.cholesky(block[:, F])
+            if exact:
+                chol = np.linalg.cholesky(K[np.ix_(F, F)])
+                ab = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+            else:
+                ab = np.linalg.solve(K[np.ix_(F, F)], rhs)
         except np.linalg.LinAlgError:
             return None
-        a, b = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
-        total = a.sum() + config.B * len(U)
-        if not lo <= total <= hi:
-            a -= (total - (hi if total > hi else lo)) / b.sum() * b
-        if not ((a > 0.0).all() and (a < config.B).all()):
+        a, b = ab.T
+        total = a.sum() + B * len(U)
+        if lo <= total <= hi:
+            return a, 0.0
+        if len(F) == 0:
             return None
-        w_face = np.zeros(m)
-        w_face[F] = a
-        w_face[U] = config.B
-        # a sum held at an edge can round just past it; the projection
-        # puts it back as it does for the loop's own iterates
-        return project(w_face)
+        c = (total - (hi if total > hi else lo)) / b.sum()
+        a -= c * b
+        return a, 2.0 * c / (m * m)
+
+    def in_box(a: np.ndarray) -> bool:
+        return bool(((a > 0.0) & (a < B)).all())
+
+    def finish(w: np.ndarray) -> np.ndarray | None:
+        # the active-set finish from the face of w (see the docstring):
+        # the face point that meets tol, or None
+        free, at_b = (w > 0.0) & (w < B), w == B
+        fewest, stalls = m + 1, 0
+        first = np.count_nonzero(free | at_b)
+        for _ in range(FACE_SOLVES):
+            F, U = np.flatnonzero(free), np.flatnonzero(at_b)
+            point = face_solve(F, U, exact=False)
+            if point is not None and in_box(point[0]):
+                point = face_solve(F, U, exact=True)
+            if point is None:
+                return None
+            a, shift = point
+            x = np.zeros(m)
+            x[F] = a
+            x[U] = B
+            if in_box(a):
+                # a sum held at an edge can round just past it; the
+                # projection puts it back as it does for the iterates
+                x = project(x)
+                Kx = kernel_product(x)
+                if residual(x, Kx) <= config.tol:
+                    return x
+            else:
+                Kx = kernel_product(x)
+            reduced = gradient(Kx) + shift
+            stay = (x > 0.0) & (x < B)
+            new_free = ((free & stay) | (at_b & (reduced > 0.0))
+                        | (~(free | at_b) & (reduced < 0.0)))
+            new_at_b = (free & (x >= B)) | (at_b & (reduced <= 0.0))
+            moved = (np.count_nonzero(new_free != free)
+                     + np.count_nonzero(new_at_b != at_b))
+            # a solve that moves more rows than twice the first face
+            # holds marks a face FISTA has not found yet
+            if moved == 0 or moved > 2 * first:
+                return None
+            if moved < fewest:
+                fewest, stalls = moved, 0
+            else:
+                stalls += 1
+                if stalls == FACE_STALLS:
+                    return None
+            free, at_b = new_free, new_at_b
+        return None
 
     # FISTA (Beck & Teboulle 2009) with a restart whenever the objective
     # rises (O'Donoghue & Candes 2015): a rejected point sends the loop
@@ -384,11 +450,12 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     # projected-gradient step from w (y is w) never raises the objective
     # in exact arithmetic, so it is always taken and the loop ends only
     # on tol or max_iter. The extrapolated point's K @ y follows from the
-    # last two products. The face solve (see the docstring) replaces w
-    # only when it passes the same stop test.
+    # last two products. The active-set finish (see the docstring)
+    # replaces w only when its point passes the same stop test.
     w = project(np.ones(m))
     Kw = kernel_product(w)
     y, Ky, t = w, Kw, 1.0
+    next_finish = FACE_PRODUCTS
     for _ in range(config.max_iter):
         w_new = project(y - step * gradient(Ky))
         Kw_new = kernel_product(w_new)
@@ -402,11 +469,10 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
         w, Kw, t = w_new, Kw_new, t_new
         if residual(w, Kw) <= config.tol:
             break
-        if held >= FACE_PRODUCTS and not face_tried:
-            face_tried = True
-            w_face = face_solve()
-            if (w_face is not None
-                    and residual(w_face, kernel_product(w_face)) <= config.tol):
+        if products >= next_finish:
+            next_finish *= 2
+            w_face = finish(w)
+            if w_face is not None:
                 w = w_face
                 break
     if not np.isfinite(w).all():

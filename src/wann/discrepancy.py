@@ -187,8 +187,9 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     start from ``init_net`` when given, otherwise from fresh seeded
     members of ``arch``. The running best is evaluated before training
     and after every epoch, so a larger epoch budget never lowers the
-    estimate. A non-finite value in any input array is a ``ValueError``
-    that names the array, raised before any network is built.
+    estimate. A ``source_x`` that is not a matrix, or a non-finite value
+    in any input array, is a ``ValueError`` that names the array, raised
+    before any network is built.
 
     The two sides share no state, so when numpy's BLAS runs one thread
     and a second core is free, the -d side runs on a worker thread while
@@ -199,6 +200,8 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     source_x = np.asarray(source_x, dtype=np.float64)
     source_y = np.asarray(source_y, dtype=np.float64)
     source_w = np.asarray(source_w, dtype=np.float64)
+    if source_x.ndim != 2:
+        raise ValueError("source_x must be a 2-D matrix")
     if not (len(source_x) == len(source_y) == len(source_w)):
         raise ValueError("source arrays must have matching lengths")
     for name, values in (("source_x", source_x), ("source_y", source_y),

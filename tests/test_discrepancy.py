@@ -180,6 +180,20 @@ class TestValidation:
             estimate_y_discrepancy(np.ones((3, 2)), np.ones(3),
                                    np.full(3, 1 / 3), target)
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 1, 1)],
+                             ids=["1-D", "3-D"])
+    def test_source_x_not_a_matrix_rejected_before_any_network(
+            self, shape, monkeypatch):
+        # a 1-D source_x once failed as a bare IndexError on shape[1]
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(discrepancy.ArchSpec, "build", no_network)
+        target = LabeledSample(np.ones((3, 1)), np.ones(3))
+        with pytest.raises(ValueError, match="source_x must be a 2-D matrix"):
+            estimate_y_discrepancy(np.ones(shape), np.ones(3),
+                                   np.full(3, 1 / 3), target)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["source_x", "source_y", "source_w",
                                       "target.X", "target.y"])
