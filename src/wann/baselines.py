@@ -166,11 +166,10 @@ class KmmConfig:
     max|w - P(w - step * grad f(w))| is at most ``tol``, where P is the
     projection onto the constraints. The residual is in the units of the
     weights and is zero exactly at the optimum. The gradient steps alone
-    stall it near 1e-8 in float64; the active-set finish, tried after 32,
-    64, 128, ... kernel products (see ``kmm_weights``), reaches about
-    1e-15 where it succeeds, so there a ``tol`` far below 1e-8 is met
-    too. ``max_iter`` only caps the iterations. ``B`` must be finite and
-    positive.
+    stall it near 1e-8 in float64; the exact face solves (see
+    ``kmm_weights``) reach about 1e-15 where they succeed, so there a
+    ``tol`` far below 1e-8 is met too. ``max_iter`` only caps
+    the iterations. ``B`` must be finite and positive.
     """
 
     kernel_bandwidth: float | None = None
@@ -241,10 +240,13 @@ def _perron_bounds(K: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-# kernel products after which kmm_weights first tries its active-set
-# finish, and again each time the count doubles; earlier tries solve on
-# the 500+ row faces of the first iterates, at a large factorization each
-FACE_PRODUCTS = 32
+# consecutive kernel products on one face after which kmm_weights solves
+# that face exactly, once per face
+FACE_PRODUCTS = 10
+# kernel products after which kmm_weights tries its active-set finish,
+# and again each time the count doubles; earlier tries meet the 500+ row
+# faces of the first iterates, which the schedule skips
+FINISH_PRODUCTS = 32
 # face solves one attempt of the finish may make, and the solves in a row
 # that may fail to move fewer rows than its fewest before it gives up
 FACE_SOLVES = 32
@@ -265,9 +267,9 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     the best iterate found.
 
     The face of a point is its free rows, in (0, B), and its rows at B.
-    After ``FACE_PRODUCTS`` kernel products, and again each time the
-    count doubles, a primal-dual active-set finish starts from the face
-    of the iterate (Hintermueller, Ito & Kunisch 2002). Each step solves
+    After ``FINISH_PRODUCTS`` kernel products, and again each time that
+    count doubles, a primal-dual active-set finish (Hintermueller, Ito &
+    Kunisch 2002) starts from the face of the iterate. Each step solves
     for the minimizer of the objective over the face: the other rows
     held at 0 or B, and the sum at a band edge when the free minimizer
     leaves the band. A solved point inside the box ends the loop when it
@@ -279,11 +281,17 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     ``FACE_SOLVES`` solves, when one solve moves more rows than twice
     the first face holds, or when the number of rows that move has not
     fallen below its fewest for ``FACE_STALLS`` solves in a row (the
-    backup rule of Judice & Pires 1994 counts the same moves).
-    Intermediate solves factor the free rows' kernel block by LU; a point
-    inside the box is solved again by Cholesky, and that point is the one
-    tested and returned. Gradient projection finds the face, the solves
-    finish the problem (More & Toraldo 1991).
+    backup rule of Judice & Pires 1994 counts the same moves). The
+    schedule skips faces of more than half the rows: one solve there
+    costs about as much as m/5 kernel products, and on low-dimension
+    draws the steps from such faces cycled far more often than they
+    finished. A face that has held for ``FACE_PRODUCTS`` products, of
+    any size, gets the first step alone, once: that one exact solve
+    ends the loop where the gradient steps have found the final face
+    early, or where the steps would cycle. An attempt depends on the
+    face and its number of solves alone, so none is repeated. Gradient
+    projection finds the face, the solves finish the problem (More &
+    Toraldo 1991).
 
     L is the Collatz-Wielandt upper bound on the largest eigenvalue of
     the jittered kernel matrix K, from a few power steps; no
@@ -330,22 +338,27 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     def project(v: np.ndarray) -> np.ndarray:
         return _project_box_band(v, B, lo, hi)
 
-    support = rows = None
-    products = 0
+    support = rows = upper = None
+    products = held = face_solves = 0
 
     def kernel_product(x: np.ndarray) -> np.ndarray:
         # K is symmetric and projected points are sparse, so only the
         # rows on the support of x enter K @ x; the gathered rows are kept
-        # while the support holds, as it does on most iterations. A
-        # support of every row, as at the start, reads K itself
-        nonlocal support, rows, products
+        # while the support holds, as it does on most iterations. The
+        # product also counts how long the face of x (its support and the
+        # rows of it at B) has held
+        nonlocal support, rows, upper, products, held, face_solves
         products += 1
         new_support = np.flatnonzero(x)
         if support is None or not np.array_equal(new_support, support):
             rows = None  # drop the old block before gathering the new one
-            support = new_support
-            rows = K if len(support) == m else K[support]
-        return x[support] @ rows
+            support, rows, upper = new_support, K[new_support], None
+        x_on = x[support]
+        new_upper = x_on == B
+        if upper is None or not np.array_equal(new_upper, upper):
+            upper, held, face_solves = new_upper, 0, 0
+        held += 1
+        return x_on @ rows
 
     def rise(w_new: np.ndarray, Kw_new: np.ndarray, w: np.ndarray,
              Kw: np.ndarray) -> float:
@@ -362,30 +375,24 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     def residual(w: np.ndarray, Kw: np.ndarray) -> float:
         return float(np.abs(w - project(w - step * gradient(Kw))).max())
 
-    def face_solve(F: np.ndarray, U: np.ndarray, exact: bool
+    def face_solve(F: np.ndarray, U: np.ndarray
                    ) -> tuple[np.ndarray, float] | None:
         # the minimizer of f over a face: the free rows F solve
-        # K_FF w_F = (m/n) kappa_F - B K_FU 1 with the rows at B (U) held
-        # there and the rest at 0 (K is exactly symmetric, so K_FU 1 is
-        # summed over K_UF's rows, one row at a time). When that point's
-        # sum leaves the band, one multiplier c on the sum holds it at the
-        # crossed edge and shifts the gradient on F to -2c/m^2; returns
-        # w_F and 2c/m^2. K_FF is factored by Cholesky when ``exact``,
-        # else by one LU solve at about two fifths of the work (the
-        # Cholesky path's two solves by the factor are LU solves too).
-        # None when K_FF fails to factor or no free row can move the sum
+        # K_FF w_F = (m/n) kappa_F - B K_FU 1 by a Cholesky factor of
+        # K_FF, with the rows at B (U) held there and the rest at 0 (K is
+        # exactly symmetric, so K_FU 1 is summed over K_UF's rows, one row
+        # at a time). When that point's sum leaves the band, one
+        # multiplier c on the sum holds it at the crossed edge and shifts
+        # the gradient on F to -2c/m^2; returns w_F and 2c/m^2. None when
+        # K_FF fails to factor or no free row can move the sum
         rhs = np.empty((len(F), 2))
         rhs[:, 0] = (m / n) * kappa[F] - B * K[np.ix_(U, F)].sum(axis=0)
         rhs[:, 1] = 1.0
         try:
-            if exact:
-                chol = np.linalg.cholesky(K[np.ix_(F, F)])
-                ab = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-            else:
-                ab = np.linalg.solve(K[np.ix_(F, F)], rhs)
+            chol = np.linalg.cholesky(K[np.ix_(F, F)])
         except np.linalg.LinAlgError:
             return None
-        a, b = ab.T
+        a, b = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
         total = a.sum() + B * len(U)
         if lo <= total <= hi:
             return a, 0.0
@@ -395,35 +402,35 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
         a -= c * b
         return a, 2.0 * c / (m * m)
 
-    def in_box(a: np.ndarray) -> bool:
-        return bool(((a > 0.0) & (a < B)).all())
-
-    def finish(w: np.ndarray) -> np.ndarray | None:
-        # the active-set finish from the face of w (see the docstring):
-        # the face point that meets tol, or None
+    def finish(w: np.ndarray, solves: int) -> np.ndarray | None:
+        # the active-set finish from the face of w in at most ``solves``
+        # solves (see the docstring): the face point that meets tol, or
+        # None
         free, at_b = (w > 0.0) & (w < B), w == B
         fewest, stalls = m + 1, 0
         first = np.count_nonzero(free | at_b)
-        for _ in range(FACE_SOLVES):
+        for k in range(solves):
             F, U = np.flatnonzero(free), np.flatnonzero(at_b)
-            point = face_solve(F, U, exact=False)
-            if point is not None and in_box(point[0]):
-                point = face_solve(F, U, exact=True)
+            point = face_solve(F, U)
             if point is None:
                 return None
             a, shift = point
             x = np.zeros(m)
             x[F] = a
             x[U] = B
-            if in_box(a):
+            inside = ((a > 0.0) & (a < B)).all()
+            if inside:
                 # a sum held at an edge can round just past it; the
                 # projection puts it back as it does for the iterates
                 x = project(x)
-                Kx = kernel_product(x)
-                if residual(x, Kx) <= config.tol:
-                    return x
-            else:
-                Kx = kernel_product(x)
+            elif k + 1 == solves:
+                return None
+            # by all of K, not kernel_product: the loop's rows and face
+            # count stay as its iterates left them, and no rows are
+            # gathered, whose copy would raise the peak memory
+            Kx = x @ K
+            if inside and residual(x, Kx) <= config.tol:
+                return x
             reduced = gradient(Kx) + shift
             stay = (x > 0.0) & (x < B)
             new_free = ((free & stay) | (at_b & (reduced > 0.0))
@@ -455,7 +462,7 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     w = project(np.ones(m))
     Kw = kernel_product(w)
     y, Ky, t = w, Kw, 1.0
-    next_finish = FACE_PRODUCTS
+    next_finish = FINISH_PRODUCTS
     for _ in range(config.max_iter):
         w_new = project(y - step * gradient(Ky))
         Kw_new = kernel_product(w_new)
@@ -469,9 +476,15 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
         w, Kw, t = w_new, Kw_new, t_new
         if residual(w, Kw) <= config.tol:
             break
+        # the last product was K @ w, so support and held describe w
+        solves = 1 if held >= FACE_PRODUCTS else 0
         if products >= next_finish:
             next_finish *= 2
-            w_face = finish(w)
+            if 2 * len(support) <= m:
+                solves = FACE_SOLVES
+        if solves > face_solves:
+            face_solves = solves
+            w_face = finish(w, solves)
             if w_face is not None:
                 w = w_face
                 break

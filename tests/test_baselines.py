@@ -8,7 +8,8 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wann import baselines
-from wann.baselines import (MEDIAN_MAX_ROWS, KliepConfig, KmmConfig,
+from wann.baselines import (FACE_PRODUCTS, MEDIAN_MAX_ROWS, KliepConfig,
+                            KmmConfig,
                             TradaboostConfig, _gaussian_kernel,
                             _perron_bounds, _project_box_band,
                             kliep_weights, kmm_weights,
@@ -179,8 +180,8 @@ class TestKmm:
                                       "mixture-800x200-draw101",
                                       "mixture-800x200-draw3"])
     def test_reused_rows_match_the_gathering_loop(self, draw):
-        # the reference keeps the single face solve the active-set finish
-        # replaced, so equal bits mean both land on the same final face
+        # the reference solves held faces but has no active-set finish,
+        # so equal bits mean both land on the same final face
         Xs, Xt = kmm_draw(draw)
         np.testing.assert_array_equal(kmm_weights(Xs, Xt),
                                       kmm_gathering_loop(Xs, Xt, KmmConfig()))
@@ -270,12 +271,15 @@ class TestKmmFinishSweep:
         np.testing.assert_array_equal(kmm_weights(Xs, Xt, config),
                                       kmm_gathering_loop(Xs, Xt, config))
 
+    @pytest.mark.parametrize("settings", [{}, {"B": 5.0}],
+                             ids=["default", "box"])
     @pytest.mark.parametrize("dim,m,seed", [
         (dim, m, seed) for dim in (1, 2, 4, 16) for m in (50, 300)
         for seed in range(4)])
-    def test_changed_weights_meet_tol_and_end_no_higher(self, dim, m, seed):
+    def test_changed_weights_meet_tol_and_end_no_higher(self, dim, m, seed,
+                                                        settings):
         Xs, Xt = mixture_draw(seed, dim=dim, m=m)
-        config = KmmConfig()
+        config = KmmConfig(**settings)
         w = kmm_weights(Xs, Xt, config)
         reference = kmm_gathering_loop(Xs, Xt, config)
         if not np.array_equal(w, reference):
@@ -301,10 +305,10 @@ def kmm_draw(draw):
     return mixture_draw(int(draw.partition("-draw")[2] or 7))
 
 
-def kmm_gathering_loop(Xs, Xt, config, face_products=10):
-    """The solver as it was before its active-set finish: the same
-    start, step and restarted FISTA loop, with K[support] gathered again
-    on every product, and one exact solve of a face once it has held for
+def kmm_gathering_loop(Xs, Xt, config, face_products=FACE_PRODUCTS):
+    """The solver without its active-set finish: the same start, step
+    and restarted FISTA loop, with K[support] gathered again on every
+    product, and one exact solve of a face once it has held for
     ``face_products`` products, gathered from K in the same arithmetic
     as the solver's face solves. With ``face_products=None`` it is FISTA
     alone, as the solver was before it had the face solve."""
