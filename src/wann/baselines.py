@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import LabeledSample, TrainingSet
+from .data import LabeledSample, TrainingSet, checked
 from .nn import ArchSpec, FitConfig, FitTrace, Mlp, fit_regression, forward
 
 EPS = np.finfo(float).eps
@@ -141,13 +141,13 @@ def _check_solver_settings(config: KmmConfig | KliepConfig) -> None:
 
 def _as_samples(source_X: np.ndarray, target_X: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples as float64 arrays, checked before any kernel is built."""
-    source_X = np.asarray(source_X, dtype=np.float64)
-    target_X = np.asarray(target_X, dtype=np.float64)
+    """Both samples as float64 matrices of one width, checked before any
+    kernel is built."""
+    source_X = checked("source_X", source_X)
+    target_X = checked("target_X", target_X,
+                       width=(source_X.shape[1], "target_X", "source_X"))
     if len(source_X) < 1 or len(target_X) < 1:
-        raise ValueError("need at least one source and one target point")
-    if not (np.isfinite(source_X).all() and np.isfinite(target_X).all()):
-        raise ValueError("source and target rows must be finite")
+        raise ValueError("source_X and target_X need at least one row each")
     return source_X, target_X
 
 

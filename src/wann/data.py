@@ -15,6 +15,29 @@ from pathlib import Path
 import numpy as np
 
 
+def checked(name: str, values, ndim: int = 2,
+            width: tuple[int, str, str] | None = None) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it is one already.
+
+    A wrong ndim, or a non-finite value (with its first row), is a
+    ``ValueError`` that names ``name``. ``width=(count, sample, other)``
+    asks a matrix for ``count`` columns, else "{sample} has k features,
+    {other} has {count}". An array of no rows passes.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != ndim:
+        shape = "1-D vector" if ndim == 1 else "2-D matrix"
+        raise ValueError(f"{name} must be a {shape}")
+    if width is not None and values.shape[1] != width[0]:
+        raise ValueError(f"{width[1]} has {values.shape[1]} features, "
+                         f"{width[2]} has {width[0]}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = np.unravel_index(np.argmin(finite), finite.shape)[0]
+        raise ValueError(f"{name} has a non-finite value in row {row}")
+    return values
+
+
 @dataclass
 class LabeledSample:
     """Input matrix plus labels."""
@@ -35,25 +58,16 @@ class LabeledSample:
 
 
 @dataclass
-class TrainingSet:
+class TrainingSet(LabeledSample):
     """Combined source+target rows with a per-row target flag."""
 
-    X: np.ndarray
-    y: np.ndarray
     is_target: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
+        super().__post_init__()
         self.is_target = np.asarray(self.is_target, dtype=bool)
-        if self.X.ndim != 2:
-            raise ValueError("X must be a 2-D matrix")
-        k = self.X.shape[0]
-        if self.y.shape != (k,) or self.is_target.shape != (k,):
-            raise ValueError("X, y and is_target must have matching row counts")
-
-    def __len__(self) -> int:
-        return len(self.y)
+        if self.is_target.shape != self.y.shape:
+            raise ValueError("is_target must have one entry per row of X")
 
     @property
     def n_source(self) -> int:

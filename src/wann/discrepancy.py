@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledSample
+from .data import LabeledSample, checked
 from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
                  adam_step, forward, weighted_mse_grad)
 
@@ -187,9 +187,9 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     start from ``init_net`` when given, otherwise from fresh seeded
     members of ``arch``. The running best is evaluated before training
     and after every epoch, so a larger epoch budget never lowers the
-    estimate. A ``source_x`` that is not a matrix, or a non-finite value
-    in any input array, is a ``ValueError`` that names the array, raised
-    before any network is built.
+    estimate. An input array of the wrong shape or with a non-finite
+    value is a ``ValueError`` that names the array, raised before any
+    network is built.
 
     The two sides share no state, so when numpy's BLAS runs one thread
     and a second core is free, the -d side runs on a worker thread while
@@ -197,24 +197,16 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     the bit either way. If both sides fail, the +d side's error is
     raised.
     """
-    source_x = np.asarray(source_x, dtype=np.float64)
-    source_y = np.asarray(source_y, dtype=np.float64)
-    source_w = np.asarray(source_w, dtype=np.float64)
-    if source_x.ndim != 2:
-        raise ValueError("source_x must be a 2-D matrix")
+    source_x = checked("source_x", source_x)
+    source_y = checked("source_y", source_y, ndim=1)
+    source_w = checked("source_w", source_w, ndim=1)
     if not (len(source_x) == len(source_y) == len(source_w)):
-        raise ValueError("source arrays must have matching lengths")
-    for name, values in (("source_x", source_x), ("source_y", source_y),
-                         ("source_w", source_w), ("target.X", target.X),
-                         ("target.y", target.y)):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise ValueError(f"{name} has a non-finite value in row "
-                             f"{np.argwhere(bad)[0, 0]}")
+        raise ValueError("source_x, source_y and source_w differ in length")
+    checked("target.X", target.X,
+            width=(source_x.shape[1], "target.X", "source_x"))
+    checked("target.y", target.y, ndim=1)
     if (source_w < 0).any():
-        raise ValueError("source weights must be nonnegative")
-    if source_x.shape[1] != target.X.shape[1]:
-        raise ValueError("source and target have different feature counts")
+        raise ValueError("source_w must be nonnegative")
     if len(target.X) == 0:
         raise ValueError("target sample is empty")
 

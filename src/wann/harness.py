@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import baselines
-from .data import (LabeledSample, MixtureShiftSpec, TrainingSet,
+from .data import (LabeledSample, MixtureShiftSpec, TrainingSet, checked,
                    gen_mixture_shift)
 from .nn import ArchSpec, FitConfig, FitTrace, fit_regression, forward
 from .results import (CURVE_METRIC, RunResult, compute_metrics, format_real,
@@ -192,8 +192,9 @@ def run_method(spec: MethodSpec, train: TrainingSet,
     """Run one method, capturing failures as an error-tagged result.
 
     A bad value of any ``spec.params`` key, whether or not the method
-    reads it, and a validation sample whose width differs from the
-    training set's are such failures, found before the method starts.
+    reads it, an empty sample, a non-finite value in either sample and a
+    validation sample whose width differs from the training set's are
+    such failures, found before the method starts.
     """
     if spec.name not in RUNNERS:
         raise ValueError(f"unknown method {spec.name!r}; "
@@ -202,11 +203,16 @@ def run_method(spec: MethodSpec, train: TrainingSet,
     result = RunResult(method=spec.name, seed=seed)
     try:
         configs = MethodConfigs.from_params(spec.params, seed)
-        if (validation is not None
-                and validation.X.shape[1] != train.X.shape[1]):
-            raise ValueError(
-                f"validation sample has {validation.X.shape[1]} features, "
-                f"training set has {train.X.shape[1]}")
+        checked("train.X", train.X)
+        checked("train.y", train.y, ndim=1)
+        if len(train) == 0:
+            raise ValueError("training set is empty")
+        if validation is not None:
+            checked("validation.X", validation.X, width=(
+                train.X.shape[1], "validation sample", "training set"))
+            checked("validation.y", validation.y, ndim=1)
+            if len(validation) == 0:
+                raise ValueError("validation sample is empty")
         predictor, trace, weights = RUNNERS[spec.name](train, validation,
                                                        configs)
         result.curve = trace.val_mse

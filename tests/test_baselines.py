@@ -500,23 +500,43 @@ class TestSettingsFailEarly:
         with pytest.raises(ValueError, match="B must be finite and positive"):
             KmmConfig(B=B)
 
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(baselines, "_gaussian_kernel", refuse)
+        monkeypatch.setattr(baselines, "median_pairwise_distance", refuse)
+
     @pytest.mark.parametrize("solver", [kmm_weights, kliep_weights])
     @pytest.mark.parametrize("side,bad", [("source", math.nan),
                                           ("source", math.inf),
                                           ("target", math.nan),
                                           ("target", -math.inf)])
-    def test_non_finite_row_raises_before_any_kernel(self, monkeypatch,
+    def test_non_finite_row_raises_before_any_kernel(self, no_kernel,
                                                      solver, side, bad):
-        def no_kernel(*args):
-            raise AssertionError("a kernel was built")
-
-        monkeypatch.setattr(baselines, "_gaussian_kernel", no_kernel)
-        monkeypatch.setattr(baselines, "median_pairwise_distance", no_kernel)
         rng = np.random.default_rng(11)
         Xs, Xt = rng.normal(size=(6, 2)), rng.normal(size=(4, 2))
         (Xs if side == "source" else Xt)[1, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"{side}_X has a non-finite "
+                                             f"value in row 1"):
             solver(Xs, Xt)
+
+    @pytest.mark.parametrize("solver", [kmm_weights, kliep_weights])
+    @pytest.mark.parametrize("source_shape,target_shape,message", [
+        ((5,), (4, 1), "source_X must be a 2-D matrix"),
+        ((5, 1, 1), (4, 1), "source_X must be a 2-D matrix"),
+        ((5, 1), (4,), "target_X must be a 2-D matrix"),
+        ((5, 1), (4, 1, 3), "target_X must be a 2-D matrix"),
+        ((5, 1), (4, 3), "target_X has 3 features, source_X has 1"),
+    ], ids=["1-D source", "3-D source", "1-D target", "3-D target",
+            "widths"])
+    def test_bad_shape_raises_before_any_kernel(self, no_kernel, solver,
+                                                source_shape, target_shape,
+                                                message):
+        # these once failed inside np.concatenate, in the median bandwidth
+        with pytest.raises(ValueError, match=message):
+            solver(np.ones(source_shape), np.ones(target_shape))
 
 
 class TestProjectBoxBand:

@@ -57,6 +57,18 @@ def two_feature_csvs(tmp_path_factory):
     return root
 
 
+def with_cell(path, column, value, out):
+    """Write a copy of CSV ``path`` to ``out`` with ``column`` of data
+    row 2 (counted from 0) set to ``value``; returns ``out``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = lines[0].split(",").index(column)
+    cells = lines[3].split(",")
+    cells[at] = value
+    lines[3] = ",".join(cells)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
 class TestSynthBench:
     def test_smoke_writes_three_run_files(self, tmp_path):
         out = tmp_path / "bench"
@@ -220,6 +232,28 @@ class TestFit:
         assert proc.returncode == 2
         assert "wann" in proc.stderr and "kliep" in proc.stderr
 
+    @pytest.mark.parametrize("method", METHOD_CHOICES)
+    @pytest.mark.parametrize("role, column, cell, name", [
+        ("test", "y", "nan", "validation.y"),
+        ("train", "x0", "inf", "train.X")])
+    def test_non_finite_cell_named(self, method, role, column, cell, name,
+                                   two_feature_csvs, tmp_path):
+        # a nan test label once gave "mse = nan" with exit 0, and an inf
+        # feature "training diverged at epoch 0" (kmm: an unnamed row)
+        files = {"train": two_feature_csvs / "train.csv",
+                 "test": two_feature_csvs / "test.csv"}
+        files[role] = with_cell(files[role], column, cell,
+                                tmp_path / f"{role}.csv")
+        out = tmp_path / "out"
+        proc = run_cli("fit", "--method", method, "--train",
+                       str(files["train"]), "--test", str(files["test"]),
+                       "--out", str(out), *FAST_NET)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {method.replace('-', '_')} failed: "
+                               f"ValueError: {name} has a non-finite value "
+                               f"in row 2\n")
+        assert proc.stdout == "" and not out.exists()
+
     def test_parse_error_names_location(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,y,domain\noops,1,source\n", encoding="utf-8")
@@ -274,13 +308,8 @@ class TestYdisc:
         # them before training instead of reporting a divergence
         files = {"source": two_feature_csvs / "source.csv",
                  "target": two_feature_csvs / "test.csv"}
-        lines = files[role].read_text(encoding="utf-8").splitlines()
-        at = lines[0].split(",").index(column)
-        cells = lines[3].split(",")
-        cells[at] = "nan"
-        lines[3] = ",".join(cells)
-        files[role] = tmp_path / f"{role}.csv"
-        files[role].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files[role] = with_cell(files[role], column, "nan",
+                                tmp_path / f"{role}.csv")
         proc = run_cli("ydisc", "--source", str(files["source"]),
                        "--target", str(files["target"]), "--epochs", "3",
                        "--hidden", "6")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from wann import baselines, harness, training
-from wann.data import LabeledSample, MixtureShiftSpec, gen_mixture_shift
+from wann.data import (LabeledSample, MixtureShiftSpec, TrainingSet,
+                       gen_mixture_shift)
 from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig, MethodSpec,
                           build_comparison_table, compute_metrics,
                           emit_plot_data, export_results, run_experiment,
@@ -327,6 +328,32 @@ class TestMethodSpec:
                             narrow, seed=7)
         assert result.error == ("ValueError: validation sample has 1 "
                                 "features, training set has 2")
+
+    @pytest.mark.parametrize("method", sorted(RUNNERS))
+    @pytest.mark.parametrize("bad,message", [
+        ("empty train", "training set is empty"),
+        ("empty validation", "validation sample is empty"),
+        ("inf in train.X", "train.X has a non-finite value in row 3"),
+        ("nan in validation.y",
+         "validation.y has a non-finite value in row 3")])
+    def test_bad_sample_recorded_before_training(self, no_training, method,
+                                                 bad, message):
+        # an empty training set once recorded "ZeroDivisionError: float
+        # division by zero" from uniform, and a nan label an MSE of nan
+        data = gen_mixture_shift(replace(TINY, seed=8))
+        train, validation = data.train, data.validation
+        if bad == "empty train":
+            train = TrainingSet(np.zeros((0, 2)), np.zeros(0),
+                                np.zeros(0, dtype=bool))
+        elif bad == "empty validation":
+            validation = LabeledSample(np.zeros((0, 2)), np.zeros(0))
+        elif bad == "inf in train.X":
+            train.X[3, 1] = np.inf
+        else:
+            validation.y[3] = np.nan
+        result = run_method(MethodSpec(method, dict(FAST)), train,
+                            validation, seed=8)
+        assert result.error == f"ValueError: {message}"
 
 
 class TestPlotOutputs:
