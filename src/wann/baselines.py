@@ -20,6 +20,7 @@ from .data import LabeledSample, TrainingSet, checked
 from .nn import ArchSpec, FitConfig, FitTrace, Mlp, fit_regression, forward
 
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny  # kernel mass below it is none to KLIEP
 
 
 def uniform_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
@@ -139,16 +140,20 @@ def _check_solver_settings(config: KmmConfig | KliepConfig) -> None:
         raise ValueError("tol must be >= 0")
 
 
-def _as_samples(source_X: np.ndarray, target_X: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+def _as_samples(source_X: np.ndarray, target_X: np.ndarray,
+                sigma: float | None
+                ) -> tuple[np.ndarray, np.ndarray, float]:
     """Both samples as float64 matrices of one width, checked before any
-    kernel is built."""
+    kernel is built, and the kernel bandwidth: ``sigma``, or the median
+    pairwise distance of the combined sample when it is None."""
     source_X = checked("source_X", source_X)
     target_X = checked("target_X", target_X,
                        width=(source_X.shape[1], "target_X", "source_X"))
     if len(source_X) < 1 or len(target_X) < 1:
         raise ValueError("source_X and target_X need at least one row each")
-    return source_X, target_X
+    if sigma is None:
+        sigma = median_pairwise_distance(source_X, target_X)
+    return source_X, target_X, sigma
 
 
 @dataclass(frozen=True)
@@ -194,29 +199,31 @@ def _project_box_band(v: np.ndarray, B: float, lo: float, hi: float
     the band; the sum is monotone in lam, so bisection solves it. The
     bisection keeps sum(left) > want >= sum(right) and returns the end
     on the band's side of the edge it seeks, so rounding never carries
-    the sum past that edge.
+    the sum past that edge. It stops once the ends are adjacent floats,
+    after about 55 of its 200 steps: the midpoint is then an end, which
+    every later step would leave in place, so the result is bit for bit
+    the full loop's.
     """
     m = len(v)
     if m * B < lo:
         raise ValueError("infeasible constraints: m*B below the sum band")
-    w = np.clip(v, 0.0, B)
+    w = v.clip(0.0, B)
     total = w.sum()
     if lo <= total <= hi:
         return w
-
-    def shifted_sum(lam: float) -> float:
-        return float(np.clip(v - lam, 0.0, B).sum())
 
     above = total > hi
     want = hi if above else lo
     left, right = float(v.min() - B - 1.0), float(v.max() + 1.0)
     for _ in range(200):
         mid = 0.5 * (left + right)
-        if shifted_sum(mid) > want:
+        if mid == left or mid == right:
+            break
+        if float((v - mid).clip(0.0, B).sum()) > want:
             left = mid
         else:
             right = mid
-    return np.clip(v - (right if above else left), 0.0, B)
+    return (v - (right if above else left)).clip(0.0, B)
 
 
 def _perron_bounds(K: np.ndarray) -> tuple[float, float]:
@@ -301,14 +308,12 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     fails.
     """
     config = config or KmmConfig()
-    source_X, target_X = _as_samples(source_X, target_X)
+    source_X, target_X, sigma = _as_samples(source_X, target_X,
+                                            config.kernel_bandwidth)
     # with one contiguous X, X @ X.T is a symmetric rank-k update, so K
     # comes out exactly symmetric
     source_X = np.ascontiguousarray(source_X)
     m, n = len(source_X), len(target_X)
-    sigma = config.kernel_bandwidth
-    if sigma is None:
-        sigma = median_pairwise_distance(source_X, target_X)
     eps = config.eps
     if eps is None:
         eps = (math.sqrt(m) - 1.0) / math.sqrt(m)
@@ -515,84 +520,76 @@ def kliep_weights(source_X: np.ndarray, target_X: np.ndarray,
     """Density-ratio weights from KL-divergence minimization.
 
     Maximizes sum_j log(sum_l alpha_l k(x'_j, c_l)) over alpha >= 0
-    under the normalization (1/m) sum_i sum_l alpha_l k(x_i, c_l) = 1,
-    by projected gradient ascent with backtracking. Each trial step is
-    followed by an orthogonal correction back onto the equality
-    hyperplane, a clip to nonnegative and a rescale restoring the
-    equality exactly (the correction keeps fixed points stationary on
-    the constraint surface, which a rescale alone does not). The
-    accepted objective sequence is non-decreasing. At most
-    min(n_centers, n) target points are used as kernel centers.
+    under b.alpha = 1, where b_l = (1/m) sum_i k(x_i, c_l); row i's
+    weight is sum_l alpha_l k(x_i, c_l). The ascent runs on
+    beta = b * alpha, which the constraints put on the probability
+    simplex. Each trial step follows the gradient scaled to a largest
+    entry of n, as at the optimum (near a face one entry can reach
+    1e16), is projected by ``_project_box_band`` and halves until the
+    objective does not fall; the loop stops once a step gains less than
+    ``config.tol``. The optimum is often sparse: one or two of the 100
+    centers on the paper's dim-64 draws. At most min(n_centers, n)
+    target points are centers. A center with no kernel mass on the
+    source rows (b_l below ``TINY``, which keeps k/b and 1/mass finite)
+    leaves the objective unbounded, and a target point with none under
+    any center leaves it -inf; both are a ``ValueError``.
 
-    ``objective_trace``, when given a list, receives the objective
-    value after every accepted iteration.
+    ``objective_trace``, when given a list, receives the starting
+    objective and then the value after every accepted step.
     """
     config = config or KliepConfig()
-    source_X, target_X = _as_samples(source_X, target_X)
-    m, n = len(source_X), len(target_X)
+    source_X, target_X, sigma = _as_samples(source_X, target_X,
+                                            config.kernel_bandwidth)
+    n = len(target_X)
     rng = np.random.default_rng(config.seed)
     n_centers = min(config.n_centers, n)
     centers = target_X[rng.choice(n, size=n_centers, replace=False)]
-    sigma = config.kernel_bandwidth
-    if sigma is None:
-        sigma = median_pairwise_distance(source_X, target_X)
 
-    k_tgt = _gaussian_kernel(target_X, centers, sigma)
     k_src = _gaussian_kernel(source_X, centers, sigma)
     b = k_src.mean(axis=0)
-
-    b_norm_sq = float(b @ b)
-    if b_norm_sq == 0.0:
+    if b.min() < TINY:
         raise ValueError(
-            "every source point has zero kernel mass under the centers; "
+            "a center has zero kernel mass on every source point; "
             "increase the kernel bandwidth"
         )
+    # k_tgt in beta's coordinates: k_tgt @ beta = k(x', c) @ alpha
+    k_tgt = _gaussian_kernel(target_X, centers, sigma)
+    k_tgt /= b
 
-    def normalize(alpha: np.ndarray) -> np.ndarray | None:
-        alpha = alpha + (1.0 - b @ alpha) / b_norm_sq * b
-        alpha = np.maximum(alpha, 0.0)
-        scale = float(b @ alpha)
-        if scale <= 0.0 or not math.isfinite(scale):
-            return None
-        return alpha / scale
-
-    def objective(alpha: np.ndarray) -> float:
-        mass = k_tgt @ alpha
-        if (mass <= 0.0).any():
+    def objective(beta: np.ndarray) -> float:
+        mass = k_tgt @ beta
+        if mass.min() < TINY:
             return -math.inf
         return float(np.log(mass).sum())
 
-    alpha = normalize(np.ones(n_centers))
-    if alpha is None or not math.isfinite(objective(alpha)):
+    beta = np.full(n_centers, 1.0 / n_centers)
+    obj = objective(beta)
+    if not math.isfinite(obj):
         raise ValueError(
             "a target point has zero kernel mass under every center; "
             "increase the kernel bandwidth"
         )
-    obj = objective(alpha)
-    if objective_trace is not None:
-        objective_trace.append(obj)
+    trace = [] if objective_trace is None else objective_trace
+    trace.append(obj)
     rate = 1.0
     for _ in range(config.max_iter):
-        grad = k_tgt.T @ (1.0 / (k_tgt @ alpha))
-        accepted = False
+        grad = k_tgt.T @ (1.0 / (k_tgt @ beta))
+        grad *= n / grad.max()
         while rate > 1e-15:
-            trial = normalize(alpha + rate * grad)
-            if trial is not None:
-                obj_trial = objective(trial)
-                if obj_trial >= obj:
-                    gain = obj_trial - obj
-                    alpha, obj = trial, obj_trial
-                    rate *= 1.2
-                    accepted = True
-                    break
+            trial = _project_box_band(beta + rate * grad, 1.0, 1.0, 1.0)
+            obj_trial = objective(trial)
+            if obj_trial >= obj:
+                break
             rate *= 0.5
-        if not accepted:
+        else:
             break
-        if objective_trace is not None:
-            objective_trace.append(obj)
+        gain = obj_trial - obj
+        beta, obj = trial, obj_trial
+        rate *= 1.2
+        trace.append(obj)
         if gain < config.tol:
             break
-    w = k_src @ alpha
+    w = k_src @ (beta / b)
     if not np.isfinite(w).all():
         raise ArithmeticError("KLIEP produced non-finite weights")
     return w

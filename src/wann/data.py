@@ -257,7 +257,7 @@ def _raise_first_error(path: Path, header: list[str], feature_cols: list[str],
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row_num, record in enumerate(reader, start=2):
+        for row_num, record in enumerate(reader):
             n_rows += 1
             if len(record) != len(header):
                 raise CsvFormatError(
@@ -344,7 +344,8 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None
     without ``_`` digit groups, optionally padded with whitespace.
     Domain cells read ``source`` or ``target`` in any case, optionally
     padded. Every fault raises a CsvFormatError that starts with the
-    path and names the first bad row and column when there is one.
+    path and names the first bad row and column when there is one; rows
+    are counted from 0 among the data rows, as ``checked`` counts them.
     """
     schema = schema or CsvSchema()
     path = Path(path)

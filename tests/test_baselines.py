@@ -15,7 +15,8 @@ from wann.baselines import (FACE_PRODUCTS, MEDIAN_MAX_ROWS, KliepConfig,
                             kliep_weights, kmm_weights,
                             median_pairwise_distance, target_only_fit,
                             tradaboost_r2_fit, uniform_fit)
-from wann.data import MixtureShiftSpec, TrainingSet, gen_mixture_shift
+from wann.data import (MixtureShiftSpec, TrainingSet, gen_mixture_shift,
+                       gen_uniform_shift_1d)
 from wann.nn import ArchSpec, FitConfig, fit_regression, forward
 
 
@@ -574,6 +575,43 @@ class TestProjectBoxBand:
         with pytest.raises(ValueError, match="infeasible"):
             _project_box_band(np.ones(3), 1.0, 4.0, 5.0)
 
+    @given(v=arrays(np.float64, st.integers(1, 40),
+                    elements=st.floats(-1e3, 1e3)),
+           B=st.sampled_from([1.0, 1.5, 4.0, 1000.0]),
+           band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           point=st.booleans())
+    @example(v=np.array([0.25]), B=1.0, band=(1.0, 1.0), point=True)
+    @example(v=np.array([0.5, 3.0, -2.0]), B=1.0, band=(1.0, 1.0),
+             point=True)
+    def test_bits_match_the_full_bisection(self, v, B, band, point):
+        # the band is [lo, hi] within [0, m*B]; point puts lo == hi, as
+        # KLIEP's simplex does
+        lo, hi = sorted(band)
+        if point:
+            hi = lo
+        lo, hi = len(v) * B * lo, len(v) * B * hi
+        assert np.array_equal(_project_box_band(v, B, lo, hi),
+                              project_box_band_full_bisection(v, B, lo, hi))
+
+
+def project_box_band_full_bisection(v, B, lo, hi):
+    """The projection as it ran before it stopped early: all 200
+    bisection steps."""
+    w = np.clip(v, 0.0, B)
+    total = w.sum()
+    if lo <= total <= hi:
+        return w
+    above = total > hi
+    want = hi if above else lo
+    left, right = float(v.min() - B - 1.0), float(v.max() + 1.0)
+    for _ in range(200):
+        mid = 0.5 * (left + right)
+        if float(np.clip(v - mid, 0.0, B).sum()) > want:
+            left = mid
+        else:
+            right = mid
+    return np.clip(v - (right if above else left), 0.0, B)
+
 
 def median_pairwise_distance_with_index_arrays(X, Y=None):
     """The earlier median: a fancy index by np.triu_indices arrays."""
@@ -722,7 +760,75 @@ def kmm_grid_oracle(Xs, Xt, sigma, B, coarse=0.05, fine=0.005):
     return search(axes)
 
 
+def kliep_em_reference(Xs, Xt, config, steps=3000):
+    """The KLIEP objective after ``steps`` EM steps from alpha = 1/sum(b),
+    on the centers and bandwidth kliep_weights takes. Each step keeps
+    b.alpha = 1 and does not lower the objective, so any value it reaches
+    is a lower bound on the optimum."""
+    n = len(Xt)
+    centers = Xt[np.random.default_rng(config.seed).choice(
+        n, size=min(config.n_centers, n), replace=False)]
+    sigma = config.kernel_bandwidth or median_pairwise_distance(Xs, Xt)
+    k_tgt = _gaussian_kernel(Xt, centers, sigma)
+    b = _gaussian_kernel(Xs, centers, sigma).mean(axis=0)
+    alpha = np.full(len(centers), 1.0 / b.sum())
+    for _ in range(steps):
+        alpha = alpha * (k_tgt.T @ (1.0 / (k_tgt @ alpha))) / (n * b)
+    return float(np.log(k_tgt @ alpha).sum())
+
+
+def kliep_draw(draw):
+    """Mixture draws at dims 64 and 2, and the 1-D shifted uniforms."""
+    if draw == "uniform-1d":
+        train, _ = gen_uniform_shift_1d(200, 50, 0)
+        return train.source_rows().X, train.target_rows().X
+    dim, seed = (int(part) for part in draw.split("-draw"))
+    return mixture_draw(seed, dim=dim)
+
+
 class TestKliep:
+    # the projection onto b.alpha = 1 that KLIEP once took (a hyperplane
+    # correction, a clip and a rescale) stalled 5.8 to 59 nats short
+    @pytest.mark.parametrize("draw", ["64-draw7", "64-draw101", "64-draw3",
+                                      "2-draw0", "uniform-1d"])
+    def test_reaches_the_em_optimum(self, draw):
+        Xs, Xt = kliep_draw(draw)
+        config = KliepConfig()
+        trace = []
+        w = kliep_weights(Xs, Xt, config, trace)
+        assert trace[-1] >= kliep_em_reference(Xs, Xt, config) - 1e-6
+        assert (w >= 0.0).all() and abs(w.mean() - 1.0) <= 1e-9
+
+    def test_center_without_source_mass_refused(self):
+        # b_l = 0 leaves alpha_l unbounded, and with it the objective
+        rng = np.random.default_rng(13)
+        Xs, Xt = rng.normal(size=(20, 2)), rng.normal(size=(5, 2))
+        Xt[2] = 1000.0
+        with pytest.raises(ValueError, match="center has zero kernel mass"
+                                             ".*bandwidth"):
+            kliep_weights(Xs, Xt, KliepConfig(kernel_bandwidth=1.0))
+
+    @given(data=st.data(), m=st.integers(1, 30), n=st.integers(1, 30),
+           dim=st.integers(1, 4), n_centers=st.integers(1, 30),
+           sigma=st.one_of(st.none(), st.floats(0.05, 20.0)),
+           seed=st.integers(0, 3))
+    def test_small_problems_reach_the_em_optimum_or_name_the_bandwidth(
+            self, data, m, n, dim, n_centers, sigma, seed):
+        coordinates = st.floats(-5.0, 5.0)
+        Xs = data.draw(arrays(np.float64, (m, dim), elements=coordinates))
+        Xt = data.draw(arrays(np.float64, (n, dim), elements=coordinates))
+        config = KliepConfig(n_centers=n_centers, kernel_bandwidth=sigma,
+                             seed=seed)
+        trace = []
+        try:
+            w = kliep_weights(Xs, Xt, config, trace)
+        except ValueError as err:
+            assert "bandwidth" in str(err)
+            return
+        assert (w >= 0.0).all() and abs(w.mean() - 1.0) <= 1e-9
+        assert all(a <= b for a, b in zip(trace, trace[1:]))
+        assert trace[-1] >= kliep_em_reference(Xs, Xt, config) - 1e-5
+
     def test_equality_constraint_and_nonnegativity(self):
         rng = np.random.default_rng(9)
         Xs = rng.normal(size=(40, 2))

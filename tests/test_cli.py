@@ -260,7 +260,23 @@ class TestFit:
         proc = run_cli("fit", "--method", "uniform", "--train", str(bad),
                        "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
-        assert "row 2" in proc.stderr and "'a'" in proc.stderr
+        assert "row 0" in proc.stderr and "'a'" in proc.stderr
+
+    def test_bad_cell_named_by_one_row_number(self, two_feature_csvs,
+                                              tmp_path):
+        # load_csv once counted file lines from 1, header included, so
+        # the cell that read "row 2" as inf read "row 4" as text
+        messages = []
+        for cell in ("inf", "oops"):
+            train = with_cell(two_feature_csvs / "train.csv", "x0", cell,
+                              tmp_path / f"{cell}.csv")
+            proc = run_cli("fit", "--method", "uniform", "--train",
+                           str(train), "--out", str(tmp_path / cell),
+                           *FAST_NET)
+            assert proc.returncode == 1
+            messages.append(proc.stderr)
+        assert "train.X has a non-finite value in row 2" in messages[0]
+        assert "'oops' at row 2, column 'x0'" in messages[1]
 
 
 class TestYdisc:

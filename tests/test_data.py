@@ -137,10 +137,10 @@ class TestCsv:
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,y\n1,2\nfoo,3\n", encoding="utf-8")
-        with pytest.raises(CsvFormatError, match="row 3.*'a'") as err:
+        with pytest.raises(CsvFormatError, match="row 1.*'a'") as err:
             load_csv(path, CsvSchema(label_col="y"))
         assert str(err.value) == (f"{path}: non-numeric value 'foo' at "
-                                  f"row 3, column 'a'")
+                                  f"row 1, column 'a'")
 
     def test_domain_column_round_trip(self, tmp_path):
         train, _ = gen_uniform_shift_1d(10, 5, seed=9)
@@ -172,7 +172,7 @@ class TestCsv:
     def test_underscore_digit_groups_rejected(self, tmp_path):
         path = tmp_path / "u.csv"
         path.write_text("a,y\n1_000,2\n", encoding="utf-8")
-        with pytest.raises(CsvFormatError, match="'1_000' at row 2"):
+        with pytest.raises(CsvFormatError, match="'1_000' at row 0"):
             load_csv(path)
 
     @pytest.mark.parametrize("header, repeated", [("a,a,y", "a"),
@@ -243,7 +243,7 @@ def ref_load_csv(path, schema=None):
                 ) from None
 
         rows, labels, flags = [], [], []
-        for row_num, record in enumerate(reader, start=2):
+        for row_num, record in enumerate(reader):
             if len(record) != len(header):
                 raise CsvFormatError(
                     f"{path}: row {row_num} has {len(record)} cells, "
