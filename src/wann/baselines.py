@@ -130,10 +130,18 @@ def _gaussian_kernel(X: np.ndarray, Y: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(kernel, out=kernel)
 
 
+# the smallest kernel bandwidth: below it 2 sigma^2 is no normal float,
+# or is 0, and the kernel's -d^2 / (2 sigma^2) loses its digits or is
+# nan at distance 0
+MIN_BANDWIDTH = math.sqrt(TINY / 2.0)
+
+
 def _check_solver_settings(config: KmmConfig | KliepConfig) -> None:
     sigma = config.kernel_bandwidth
-    if sigma is not None and not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError("kernel_bandwidth must be finite and positive")
+    if sigma is not None and not (math.isfinite(sigma)
+                                  and sigma >= MIN_BANDWIDTH):
+        raise ValueError(f"kernel_bandwidth must be finite and at least "
+                         f"{MIN_BANDWIDTH:.3g}")
     if config.max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     if not config.tol >= 0.0:
@@ -145,7 +153,8 @@ def _as_samples(source_X: np.ndarray, target_X: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Both samples as float64 matrices of one width, checked before any
     kernel is built, and the kernel bandwidth: ``sigma``, or the median
-    pairwise distance of the combined sample when it is None."""
+    pairwise distance of the combined sample when it is None, refused
+    below ``MIN_BANDWIDTH``."""
     source_X = checked("source_X", source_X)
     target_X = checked("target_X", target_X,
                        width=(source_X.shape[1], "target_X", "source_X"))
@@ -153,6 +162,11 @@ def _as_samples(source_X: np.ndarray, target_X: np.ndarray,
         raise ValueError("source_X and target_X need at least one row each")
     if sigma is None:
         sigma = median_pairwise_distance(source_X, target_X)
+        if sigma < MIN_BANDWIDTH:
+            raise ValueError(
+                f"the median pairwise distance, {sigma:.3g}, is below the "
+                f"smallest kernel bandwidth, {MIN_BANDWIDTH:.3g}; scale the "
+                f"features up or set kernel_bandwidth")
     return source_X, target_X, sigma
 
 
@@ -300,6 +314,9 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     projection finds the face, the solves finish the problem (More &
     Toraldo 1991).
 
+    Every kernel product, the loop's and the finish's, is x @ K over all
+    m rows, which is K @ x because K is exactly symmetric.
+
     L is the Collatz-Wielandt upper bound on the largest eigenvalue of
     the jittered kernel matrix K, from a few power steps; no
     eigendecomposition is made. K must be positive semidefinite: a
@@ -343,27 +360,21 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     def project(v: np.ndarray) -> np.ndarray:
         return _project_box_band(v, B, lo, hi)
 
-    support = rows = upper = None
+    support = upper = None
     products = held = face_solves = 0
 
     def kernel_product(x: np.ndarray) -> np.ndarray:
-        # K is symmetric and projected points are sparse, so only the
-        # rows on the support of x enter K @ x; the gathered rows are kept
-        # while the support holds, as it does on most iterations. The
-        # product also counts how long the face of x (its support and the
+        # x @ K, counting how long the face of x (its support and the
         # rows of it at B) has held
-        nonlocal support, rows, upper, products, held, face_solves
+        nonlocal support, upper, products, held, face_solves
         products += 1
         new_support = np.flatnonzero(x)
-        if support is None or not np.array_equal(new_support, support):
-            rows = None  # drop the old block before gathering the new one
-            support, rows, upper = new_support, K[new_support], None
-        x_on = x[support]
-        new_upper = x_on == B
-        if upper is None or not np.array_equal(new_upper, upper):
-            upper, held, face_solves = new_upper, 0, 0
+        new_upper = x[new_support] == B
+        if (support is None or not np.array_equal(new_support, support)
+                or not np.array_equal(new_upper, upper)):
+            support, upper, held, face_solves = new_support, new_upper, 0, 0
         held += 1
-        return x_on @ rows
+        return x @ K
 
     def rise(w_new: np.ndarray, Kw_new: np.ndarray, w: np.ndarray,
              Kw: np.ndarray) -> float:
@@ -430,9 +441,8 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
                 x = project(x)
             elif k + 1 == solves:
                 return None
-            # by all of K, not kernel_product: the loop's rows and face
-            # count stay as its iterates left them, and no rows are
-            # gathered, whose copy would raise the peak memory
+            # not by kernel_product: the loop's face count stays as its
+            # iterates left it
             Kx = x @ K
             if inside and residual(x, Kx) <= config.tol:
                 return x

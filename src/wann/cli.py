@@ -134,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=MixtureShiftSpec.target_fraction)
     _add_pretrain_flag(bench)
     bench.add_argument("--parallel", type=_count, default=1,
-                       help="worker processes for repeats")
+                       help="worker processes for repeats; each inherits "
+                            "numpy's BLAS threads, so set "
+                            "OPENBLAS_NUM_THREADS=1 with it")
     bench.add_argument("--out", required=True, help="output directory")
     _add_net_flags(bench)
     _add_common(bench)

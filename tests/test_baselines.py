@@ -159,8 +159,10 @@ class TestKmm:
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_solver_kernel_is_exactly_symmetric(self, monkeypatch, layout):
-        # the solver reads K's rows as its columns; a strided 300-row
-        # sample gives an asymmetric X @ X.T unless it is made contiguous
+        # the solver's products are x @ K, which is K @ x only for an
+        # exactly symmetric K, and its face solves sum K_FU 1 over K_UF's
+        # rows; a strided 300-row sample gives an asymmetric X @ X.T
+        # unless it is made contiguous
         wide = np.random.default_rng(10).normal(size=(300, 12))
         Xs = {"C": np.ascontiguousarray(wide[:, :6]),
               "F": np.asfortranarray(wide[:, :6]),
@@ -179,13 +181,16 @@ class TestKmm:
 
     @pytest.mark.parametrize("draw", ["gaussian-60x20", "mixture-800x200",
                                       "mixture-800x200-draw101",
-                                      "mixture-800x200-draw3"])
-    def test_reused_rows_match_the_gathering_loop(self, draw):
+                                      "mixture-800x200-draw3",
+                                      "mixture-40x10-dim1"])
+    def test_finish_matches_the_plain_loop(self, draw):
         # the reference solves held faces but has no active-set finish,
-        # so equal bits mean both land on the same final face
+        # so equal bits mean both land on the same final face; on the
+        # dim-1 draw no attempt succeeds and both end at max_iter above
+        # tol, so equal bits there pin the loop's own arithmetic
         Xs, Xt = kmm_draw(draw)
         np.testing.assert_array_equal(kmm_weights(Xs, Xt),
-                                      kmm_gathering_loop(Xs, Xt, KmmConfig()))
+                                      kmm_plain_loop(Xs, Xt, KmmConfig()))
 
 
 class TestKmmFaceSolve:
@@ -206,7 +211,7 @@ class TestKmmFaceSolve:
                                                             * problem.n)
         assert np.abs(grad[free]).max() <= 1e-9 * scale
         assert grad[~free].min() >= 0.0
-        fista = kmm_gathering_loop(Xs, Xt, config, face_products=None)
+        fista = kmm_plain_loop(Xs, Xt, config, face_products=None)
         assert problem.objective(w) <= problem.objective(fista)
         for tol in (config.tol, 1e-10):
             w_tol = kmm_weights(Xs, Xt, replace(config, tol=tol))
@@ -250,7 +255,7 @@ class TestKmmFaceSolve:
         Xs, Xt = mixture_draw(seed, dim=8)
         config = KmmConfig()
         problem = KmmProblem(Xs, Xt, config)
-        reference = kmm_gathering_loop(Xs, Xt, config)
+        reference = kmm_plain_loop(Xs, Xt, config)
         assert problem.residual(reference) > config.tol
         w = kmm_weights(Xs, Xt, config)
         assert problem.residual(w) <= config.tol
@@ -270,7 +275,7 @@ class TestKmmFinishSweep:
         Xs, Xt = mixture_draw(seed)
         config = KmmConfig(**settings)
         np.testing.assert_array_equal(kmm_weights(Xs, Xt, config),
-                                      kmm_gathering_loop(Xs, Xt, config))
+                                      kmm_plain_loop(Xs, Xt, config))
 
     @pytest.mark.parametrize("settings", [{}, {"B": 5.0}],
                              ids=["default", "box"])
@@ -282,7 +287,7 @@ class TestKmmFinishSweep:
         Xs, Xt = mixture_draw(seed, dim=dim, m=m)
         config = KmmConfig(**settings)
         w = kmm_weights(Xs, Xt, config)
-        reference = kmm_gathering_loop(Xs, Xt, config)
+        reference = kmm_plain_loop(Xs, Xt, config)
         if not np.array_equal(w, reference):
             problem = KmmProblem(Xs, Xt, config)
             assert problem.residual(w) <= config.tol
@@ -298,21 +303,23 @@ def mixture_draw(seed, dim=64, m=1000):
 
 
 def kmm_draw(draw):
-    """The draws of test_converges_past_the_fixed_step_loop, and the
-    paper's mixture draws 101 and 3."""
+    """The draws of test_converges_past_the_fixed_step_loop, the paper's
+    mixture draws 101 and 3, and the dim-1, m=50 mixture draw 0."""
     if draw == "gaussian-60x20":
         rng = np.random.default_rng(9)
         return rng.normal(size=(60, 3)), rng.normal(0.5, 1.0, size=(20, 3))
+    if draw == "mixture-40x10-dim1":
+        return mixture_draw(0, dim=1, m=50)
     return mixture_draw(int(draw.partition("-draw")[2] or 7))
 
 
-def kmm_gathering_loop(Xs, Xt, config, face_products=FACE_PRODUCTS):
+def kmm_plain_loop(Xs, Xt, config, face_products=FACE_PRODUCTS):
     """The solver without its active-set finish: the same start, step
-    and restarted FISTA loop, with K[support] gathered again on every
-    product, and one exact solve of a face once it has held for
-    ``face_products`` products, gathered from K in the same arithmetic
-    as the solver's face solves. With ``face_products=None`` it is FISTA
-    alone, as the solver was before it had the face solve."""
+    and restarted FISTA loop, with every product x @ K, and one exact
+    solve of a face once it has held for ``face_products`` products,
+    gathered from K in the same arithmetic as the solver's face solves.
+    With ``face_products=None`` it is FISTA alone, as the solver was
+    before it had the face solve."""
     m, n = len(Xs), len(Xt)
     sigma = config.kernel_bandwidth or median_pairwise_distance(Xs, Xt)
     eps = config.eps
@@ -337,7 +344,7 @@ def kmm_gathering_loop(Xs, Xt, config, face_products=FACE_PRODUCTS):
                 or not np.array_equal(upper, face[1])):
             face, held, tried = (support, upper), 0, False
         held += 1
-        return x[support] @ K[support]
+        return x @ K
 
     def face_solve():
         support, upper = face
@@ -447,7 +454,8 @@ def test_kmm_weights_are_feasible_and_no_worse_than_the_start(
     assert np.isfinite(w).all()
     assert (w >= 0.0).all() and (w <= B).all()
     assert problem.lo - 1e-9 * m <= w.sum() <= problem.hi + 1e-9 * m
-    # the test's dense K @ w rounds apart from the solver's sparse one
+    # the test's K @ w, of a symmetrized K, rounds apart from the
+    # solver's x @ K
     start = problem.project(np.ones(m))
     assert problem.objective(w) <= problem.objective(start) + 1e-12
     if problem.residual(w) > config.tol:
@@ -476,9 +484,14 @@ def test_perron_bounds_stay_finite_where_the_iterate_underflows():
     assert _perron_bounds(np.diag([1.0, 1e4])) == (1.0, 1e4)
 
 
+# the smallest bandwidth whose 2 sigma^2 is a normal float
+SMALLEST_BANDWIDTH = math.sqrt(np.finfo(float).tiny / 2.0)
+
 BAD_SETTINGS = [
     ("kernel_bandwidth", 0.0), ("kernel_bandwidth", -1.0),
     ("kernel_bandwidth", math.nan), ("kernel_bandwidth", math.inf),
+    ("kernel_bandwidth", 1e-300),
+    ("kernel_bandwidth", math.nextafter(SMALLEST_BANDWIDTH, 0.0)),
     ("max_iter", -1), ("tol", -1.0), ("tol", math.nan),
 ]
 
@@ -492,7 +505,7 @@ class TestSettingsFailEarly:
 
     @pytest.mark.parametrize("config_cls", [KmmConfig, KliepConfig])
     def test_edge_settings_accepted(self, config_cls):
-        config_cls(kernel_bandwidth=1e-300, max_iter=0, tol=0.0)
+        config_cls(kernel_bandwidth=SMALLEST_BANDWIDTH, max_iter=0, tol=0.0)
         config_cls(tol=math.inf)
 
     @pytest.mark.parametrize("B", [math.nan, math.inf],
@@ -522,6 +535,19 @@ class TestSettingsFailEarly:
         with pytest.raises(ValueError, match=f"{side}_X has a non-finite "
                                              f"value in row 1"):
             solver(Xs, Xt)
+
+    @pytest.mark.parametrize("solver", [kmm_weights, kliep_weights])
+    def test_tiny_median_bandwidth_raises_before_any_kernel(
+            self, no_kernel, monkeypatch, solver):
+        # these rows, about 1e-160 apart, once gave KMM "kernel matrix
+        # not positive semidefinite": 2 sigma^2 is subnormal there
+        monkeypatch.setattr(baselines, "median_pairwise_distance",
+                            median_pairwise_distance)
+        rng = np.random.default_rng(12)
+        Xs, Xt = rng.normal(size=(30, 2)), rng.normal(size=(4, 2))
+        with pytest.raises(ValueError, match="median pairwise distance.*"
+                                             "smallest kernel bandwidth"):
+            solver(1e-160 * Xs, 1e-160 * Xt)
 
     @pytest.mark.parametrize("solver", [kmm_weights, kliep_weights])
     @pytest.mark.parametrize("source_shape,target_shape,message", [
