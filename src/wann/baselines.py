@@ -49,66 +49,65 @@ def target_only_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
 
 
 # rows above which the median bandwidth is taken over a subsample, so its
-# peak memory, about 9 * MEDIAN_MAX_ROWS**2 bytes (the squared distances,
-# whose own buffer also holds the packed triangle the median is selected
-# from, and one 256-row block of sq_i + sq_j), holds for any input
+# peak memory, about 4.3 * MEDIAN_MAX_ROWS**2 bytes (the packed squared
+# distances and one 64-row block of sq_i + sq_j), holds for any input
 MEDIAN_MAX_ROWS = 2000
 
 
 def _squared_distances(X: np.ndarray, Y: np.ndarray, sq_x: np.ndarray,
-                       sq_y: np.ndarray) -> np.ndarray:
-    """||x_i - y_j||^2 as (sq_x_i + sq_y_j) - 2 x_i.y_j, in one array.
-
-    ``sq_x`` and ``sq_y`` are the squared row norms. The Gram product is
-    scaled in place and sq_x_i + sq_y_j is added a block of rows at a
-    time, so no second array of the result's size is made.
-    """
-    d2 = X @ Y.T
+                       sq_y: np.ndarray, out: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """||x_i - y_j||^2 as fl(fl(-2 x_i.y_j) + fl(sq_x_i + sq_y_j)), in
+    ``out`` or a new array; ``sq_x`` and ``sq_y`` are the squared row
+    norms. sq_x_i + sq_y_j is added 64 rows at a time through one reused
+    scratch, so no second array of the result's size is made."""
+    d2 = np.matmul(X, Y.T, out=out)
     d2 *= -2.0
-    for start in range(0, len(X), 256):
-        block = d2[start:start + 256]
-        block += sq_x[start:start + 256, None] + sq_y[None, :]
+    scratch = np.empty((min(64, len(X)), len(Y)))
+    for start in range(0, len(X), 64):
+        block = d2[start:start + 64]
+        block += np.add(sq_x[start:start + 64, None], sq_y,
+                        out=scratch[:len(block)])
     return d2
-
-
-def _pack_strict_upper_triangle(A: np.ndarray) -> np.ndarray:
-    """The entries above the diagonal of square ``A``, row by row, moved
-    to the front of A's own buffer; returns that leading view.
-
-    Row i's part starts no earlier in the buffer than where it is moved
-    to, so each move reads only entries not yet overwritten (NumPy
-    copies an overlapping move as if through a buffer).
-    """
-    n = len(A)
-    flat = A.reshape(-1)
-    end = 0
-    for i in range(n - 1):
-        row = flat[i * n + i + 1:(i + 1) * n]
-        flat[end:end + len(row)] = row
-        end += len(row)
-    return flat[:end]
 
 
 def median_pairwise_distance(X: np.ndarray, Y: np.ndarray | None = None
                              ) -> float:
     """Median pairwise Euclidean distance, the default kernel bandwidth.
 
-    The median is selected from the squared distances, and only the one
-    or two middle values are clamped at 0 and square-rooted. Both maps
-    are monotone, so the result is the median of the distances bit for
-    bit. Zero distances only, or none, give 1.0, as does a squared
-    distance that overflowed to nan. Above ``MEDIAN_MAX_ROWS`` combined
-    rows the median is taken over a fixed-seed subsample of that many
-    rows.
+    The squared distances of the pairs i < j alone are computed by
+    ``_squared_distances``, 128 rows at a time, into one packed vector: a
+    block's rectangle right of its diagonal square straight into its slot,
+    and the square's entries above the diagonal. BLAS may round a Gram
+    entry of a rectangle (a general product) unlike ``Z @ Z.T`` (a
+    symmetric rank-k update). The median is selected in any order, and
+    only the one or two middle values are clamped at 0 and square-rooted,
+    both monotone maps. Zero distances only, or none, give 1.0, as does a
+    squared distance that overflowed to nan. Above ``MEDIAN_MAX_ROWS``
+    rows in all the median is taken over a fixed-seed subsample of them.
     """
     Z = X if Y is None else np.concatenate([X, Y])
     if len(Z) > MEDIAN_MAX_ROWS:
         Z = Z[np.random.default_rng(0).choice(len(Z), MEDIAN_MAX_ROWS,
                                               replace=False)]
-    sq = np.sum(Z * Z, axis=1)
-    d2 = _pack_strict_upper_triangle(_squared_distances(Z, Z, sq, sq))
-    if len(d2) == 0:
+    n = len(Z)
+    if n < 2:
         return 1.0
+    sq = np.sum(Z * Z, axis=1)
+    d2 = np.empty(n * (n - 1) // 2)
+    above = np.triu(np.ones((128, 128), dtype=bool), 1)
+    end = 0
+    for start in range(0, n, 128):
+        stop = min(start + 128, n)
+        block, k, width = Z[start:stop], stop - start, n - stop
+        _squared_distances(block, Z[stop:], sq[start:stop], sq[stop:],
+                           d2[end:end + k * width].reshape(k, width))
+        end += k * width
+        square = _squared_distances(block, block, sq[start:stop],
+                                    sq[start:stop])
+        np.compress(above[:k, :k].ravel(), square,
+                    out=d2[end:end + k * (k - 1) // 2])
+        end += k * (k - 1) // 2
     upper = len(d2) // 2
     d2.partition(upper)
     # the partition puts nans last, so any nan lies in d2[upper:]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import KliepConfig, KmmConfig, TradaboostConfig
+from .baselines import MIN_BANDWIDTH, KliepConfig, KmmConfig, TradaboostConfig
 from .data import (CsvSchema, LabeledSample, MixtureShiftSpec,
                    csv_feature_cols, gen_uniform_shift_1d, load_csv)
 from .discrepancy import ASCENT_EPOCHS, estimate_y_discrepancy
@@ -70,6 +70,14 @@ def _positive_real(raw: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(
             f"must be finite and > 0, got {raw!r}")
+    return value
+
+
+def _bandwidth(raw: str) -> float:
+    value = _positive_real(raw)
+    if value < MIN_BANDWIDTH:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {MIN_BANDWIDTH:.3g}, got {raw!r}")
     return value
 
 
@@ -150,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--test", help="optional test CSV (all target rows)")
     fit.add_argument("--out", required=True, help="output directory")
     _add_pretrain_flag(fit)
-    fit.add_argument("--bandwidth", type=_positive_real,
+    fit.add_argument("--bandwidth", type=_bandwidth,
                      help="kernel bandwidth for kmm/kliep")
     fit.add_argument("--kmm-b", type=_positive_real, default=KmmConfig.B,
                      help="KMM weight cap B")

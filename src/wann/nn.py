@@ -391,12 +391,17 @@ class FitTrace:
     val_mse: list[float] = field(default_factory=list)
     predictions: np.ndarray | None = None
 
-    def record(self, net: Mlp, validation: LabeledSample) -> None:
+    def record(self, net: Mlp, validation: LabeledSample, epoch: int
+               ) -> None:
         """Keep ``net``'s predictions on ``validation`` and append their
-        MSE, the quantity every run's curve records."""
+        MSE, the quantity every run's curve records; raises
+        ``TrainingDivergedError`` with ``epoch`` when the MSE is not
+        finite."""
         self.predictions = forward(net, validation.X)
-        self.val_mse.append(
-            float(np.mean((self.predictions - validation.y) ** 2)))
+        mse = float(np.mean((self.predictions - validation.y) ** 2))
+        if not math.isfinite(mse):
+            raise TrainingDivergedError(epoch)
+        self.val_mse.append(mse)
 
 
 def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -411,7 +416,7 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     training). When ``validation`` is given, records the unweighted
     validation MSE of the current network after each epoch and keeps the
     last epoch's predictions. Raises ``TrainingDivergedError`` once a
-    batch loss or a parameter stops being finite.
+    batch loss, a parameter or the validation MSE stops being finite.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -436,7 +441,7 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
         if not np.isfinite(net.params).all():
             raise TrainingDivergedError(epoch)
         if validation is not None:
-            trace.record(net, validation)
+            trace.record(net, validation, epoch)
     return trace
 
 

@@ -206,9 +206,11 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
 
     The model must have been pretrained (see ``pretrain_weighter``).
     When a validation sample is given, the returned trace holds h's
-    validation MSE after each epoch and h's predictions after the last.
-    A batch size above the number of rows makes one full batch, as in
-    ``fit_regression``. Deterministic per seed; mutates the model.
+    validation MSE after each epoch and h's predictions after the last;
+    a validation MSE that is not finite raises ``TrainingDivergedError``
+    with its epoch. A batch size above the number of rows makes one full
+    batch, as in ``fit_regression``. Deterministic per seed; mutates the
+    model.
     """
     _require_both_domains(train)
     rng = np.random.default_rng(config.seed)
@@ -220,7 +222,7 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
             wann_step(model, train.X[idx], train.y[idx],
                       train.is_target[idx], len(train), epoch)
         if validation is not None:
-            trace.record(model.task, validation)
+            trace.record(model.task, validation, epoch)
     return trace
 
 

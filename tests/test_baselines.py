@@ -684,9 +684,9 @@ class TestGaussianKernel:
                               gaussian_kernel_out_of_place(Xs, Xs, sigma))
 
     def test_holds_two_kernel_sized_arrays_at_most(self):
-        # one kernel-sized array, one 256-row block of sq_x_i + sq_y_j (an
-        # eighth of the kernel here) and NumPy's iterator buffers; the
-        # out-of-place formula holds three kernels
+        # one kernel-sized array, one 64-row scratch of sq_x_i + sq_y_j (a
+        # thirty-second of the kernel here) and NumPy's iterator buffers;
+        # the out-of-place formula holds three kernels
         rng = np.random.default_rng(15)
         X, Y = rng.normal(size=(2000, 5)), rng.normal(size=(100, 5))
         tracemalloc.start()
@@ -713,11 +713,13 @@ def pooled_samples(draw):
 
 
 class TestMedianPairwiseDistance:
+    # 129 to 1001 rows straddle the edges of the 128-row blocks
     @pytest.mark.parametrize("X", [
         *(np.random.default_rng(rows).normal(size=(rows, 3))
-          for rows in (1, 2, 3, 60)),
+          for rows in (1, 2, 3, 60, 129, 257, 300, 1001)),
         np.ones((4, 2)),  # every distance zero: the bandwidth falls back to 1
-    ], ids=["1-row", "2-row", "3-row", "60-row", "coincident"])
+    ], ids=["1-row", "2-row", "3-row", "60-row", "129-row", "257-row",
+            "300-row", "1001-row", "coincident"])
     def test_bits_match_index_array_version(self, X):
         assert (median_pairwise_distance(X)
                 == median_pairwise_distance_with_index_arrays(X))
@@ -729,17 +731,18 @@ class TestMedianPairwiseDistance:
         assert (median_pairwise_distance(*samples)
                 == median_pairwise_distance_with_index_arrays(*samples))
 
-    def test_bits_match_index_array_version_on_mixture_draw(self):
+    @pytest.mark.parametrize("seed", [7, 101, 3])
+    def test_bits_match_index_array_version_on_mixture_draw(self, seed):
         train = gen_mixture_shift(MixtureShiftSpec(
-            dim=64, m=1000, target_fraction=0.2, seed=7)).train
+            dim=64, m=1000, target_fraction=0.2, seed=seed)).train
         Xs, Xt = train.source_rows().X, train.target_rows().X
         assert (median_pairwise_distance(Xs, Xt)
                 == median_pairwise_distance_with_index_arrays(Xs, Xt))
 
     def test_large_input_stays_under_a_memory_bound(self):
-        # about 9 bytes per pair of rows: the squared distances, whose
-        # buffer also holds the packed triangle, and one 256-row block of
-        # sq_i + sq_j; all 2 * MEDIAN_MAX_ROWS rows would need 4x more
+        # about 4.3 bytes per pair of rows: the packed squared distances
+        # above the diagonal and one 64-row block of sq_i + sq_j; all
+        # 2 * MEDIAN_MAX_ROWS rows would need 4x more
         X = np.random.default_rng(12).normal(size=(2 * MEDIAN_MAX_ROWS, 3))
         tracemalloc.start()
         try:
@@ -748,7 +751,7 @@ class TestMedianPairwiseDistance:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 9.5 * MEDIAN_MAX_ROWS ** 2
+        assert peak <= 5 * MEDIAN_MAX_ROWS ** 2
 
     def test_subsample_median_is_fixed_and_close_to_the_full_median(self):
         rng = np.random.default_rng(13)

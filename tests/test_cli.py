@@ -119,6 +119,8 @@ class TestArgumentValidation:
         (BENCH, "--repeats", "two"),
         (FIT, "--kliep-centers", "0"), (FIT, "--boost-iters", "0"),
         (FIT, "--kmm-b", "0"), (FIT, "--bandwidth", "-1"),
+        # below baselines.MIN_BANDWIDTH: 2 sigma^2 is no normal float
+        (FIT, "--bandwidth", "1e-300"),
         (FIT, "--pretrain-epochs", "-2"),
         (DEMO, "--m", "0"), (DEMO, "--n", "0"),
         (YDISC, "--batch-size", "0"), (YDISC, "--hidden", "0"),
@@ -166,6 +168,20 @@ class TestArgumentValidation:
         assert runs == ["target_only_3.txt", "uniform_3.txt", "wann_3.txt"]
         assert (out / "dim3" / "table.csv").exists()
         assert "rank" in proc.stdout
+
+    def test_diverged_runs_fail_by_name(self, tmp_path):
+        # at clip 1e100 and lr 1e50 the validation predictions overflow
+        # in the first epoch: each run fails with its epoch, and the
+        # chart never meets an inf MSE
+        proc = run_cli("synth-bench", "--dims", "2", "--repeats", "1",
+                       "--m", "20", "--epochs", "3", "--pretrain-epochs",
+                       "1", "--clip", "1e100", "--lr", "1e50",
+                       "--out", str(tmp_path / "bench"))
+        assert proc.returncode == 1
+        for method in ("wann", "uniform", "target_only"):
+            assert (f"dim2/{method}_0: TrainingDivergedError: training "
+                    f"diverged at epoch 0") in proc.stderr
+        assert (tmp_path / "bench" / "dim2" / "table.csv").exists()
 
 
 class TestFit:

@@ -296,6 +296,18 @@ class TestFitRegression:
                            FitConfig(epochs=3, batch_size=2, seed=0))
         assert err.value.epoch == 0
 
+    def test_non_finite_validation_mse_raises_with_epoch(self):
+        # finite labels whose squared errors overflow to inf
+        rng = np.random.default_rng(21)
+        net = random_net(rng)
+        X = rng.normal(size=(8, 3))
+        validation = LabeledSample(X, np.full(8, 1e200))
+        with (np.errstate(over="ignore"),
+              pytest.raises(TrainingDivergedError) as err):
+            fit_regression(net, X, np.zeros(8), np.ones(8),
+                           FitConfig(epochs=3, batch_size=4), validation)
+        assert err.value.epoch == 0
+
 
 class TestBuildMlp:
     def test_glorot_bounds_and_zero_biases(self):

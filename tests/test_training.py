@@ -410,6 +410,15 @@ class TestFitWann:
         np.testing.assert_array_equal(full.predictions, above.predictions)
         np.testing.assert_array_equal(full_weights, above_weights)
 
+    def test_non_finite_validation_mse_raises_with_epoch(self):
+        # finite labels whose squared errors overflow to inf
+        model, train, config = self.make_ready(seed=19)
+        val = LabeledSample(train.X[:10], np.full(10, 1e200))
+        with (np.errstate(over="ignore"),
+              pytest.raises(TrainingDivergedError) as err):
+            fit_wann(model, train, config, validation=val)
+        assert err.value.epoch == 0
+
     def test_requires_both_domains(self):
         model, train, config = self.make_ready(seed=17)
         only_src = TrainingSet(train.X, train.y,
