@@ -260,9 +260,6 @@ def _perron_bounds(K: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-# consecutive kernel products on one face after which kmm_weights solves
-# that face exactly, once per face
-FACE_PRODUCTS = 10
 # kernel products after which kmm_weights tries its active-set finish,
 # and again each time the count doubles; earlier tries meet the 500+ row
 # faces of the first iterates, which the schedule skips
@@ -305,11 +302,10 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     schedule skips faces of more than half the rows: one solve there
     costs about as much as m/5 kernel products, and on low-dimension
     draws the steps from such faces cycled far more often than they
-    finished. A face that has held for ``FACE_PRODUCTS`` products, of
-    any size, gets the first step alone, once: that one exact solve
-    ends the loop where the gradient steps have found the final face
-    early, or where the steps would cycle. An attempt depends on the
-    face and its number of solves alone, so none is repeated. Gradient
+    finished. Where the gradient steps meet ``config.tol`` first, one
+    attempt starts from that iterate, on a face of any size, and its
+    point replaces the iterate only where it meets ``config.tol`` too.
+    Each solve is one LU solve of the face's block of K. Gradient
     projection finds the face, the solves finish the problem (More &
     Toraldo 1991).
 
@@ -359,22 +355,6 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     def project(v: np.ndarray) -> np.ndarray:
         return _project_box_band(v, B, lo, hi)
 
-    support = upper = None
-    products = held = face_solves = 0
-
-    def kernel_product(x: np.ndarray) -> np.ndarray:
-        # x @ K, counting how long the face of x (its support and the
-        # rows of it at B) has held
-        nonlocal support, upper, products, held, face_solves
-        products += 1
-        new_support = np.flatnonzero(x)
-        new_upper = x[new_support] == B
-        if (support is None or not np.array_equal(new_support, support)
-                or not np.array_equal(new_upper, upper)):
-            support, upper, held, face_solves = new_support, new_upper, 0, 0
-        held += 1
-        return x @ K
-
     def rise(w_new: np.ndarray, Kw_new: np.ndarray, w: np.ndarray,
              Kw: np.ndarray) -> float:
         # f(w_new) - f(w) = d.K(w_new + w)/m^2 - 2 d.kappa/(m n) with
@@ -393,21 +373,22 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     def face_solve(F: np.ndarray, U: np.ndarray
                    ) -> tuple[np.ndarray, float] | None:
         # the minimizer of f over a face: the free rows F solve
-        # K_FF w_F = (m/n) kappa_F - B K_FU 1 by a Cholesky factor of
-        # K_FF, with the rows at B (U) held there and the rest at 0 (K is
-        # exactly symmetric, so K_FU 1 is summed over K_UF's rows, one row
-        # at a time). When that point's sum leaves the band, one
-        # multiplier c on the sum holds it at the crossed edge and shifts
-        # the gradient on F to -2c/m^2; returns w_F and 2c/m^2. None when
-        # K_FF fails to factor or no free row can move the sum
+        # K_FF w_F = (m/n) kappa_F - B K_FU 1 by one LU solve, with the
+        # rows at B (U) held there and the rest at 0 (K is exactly
+        # symmetric, so K_FU 1 is summed over K_UF's rows, one row at a
+        # time). When that point's sum leaves the band, one multiplier c
+        # on the sum holds it at the crossed edge and shifts the gradient
+        # on F to -2c/m^2; returns w_F and 2c/m^2. None when K_FF is
+        # exactly singular or no free row can move the sum. The solve
+        # does not check K_FF definite: its point counts only inside the
+        # box and where it meets tol, and K's own check stands
         rhs = np.empty((len(F), 2))
         rhs[:, 0] = (m / n) * kappa[F] - B * K[np.ix_(U, F)].sum(axis=0)
         rhs[:, 1] = 1.0
         try:
-            chol = np.linalg.cholesky(K[np.ix_(F, F)])
+            a, b = np.linalg.solve(K[np.ix_(F, F)], rhs).T
         except np.linalg.LinAlgError:
             return None
-        a, b = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
         total = a.sum() + B * len(U)
         if lo <= total <= hi:
             return a, 0.0
@@ -417,14 +398,13 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
         a -= c * b
         return a, 2.0 * c / (m * m)
 
-    def finish(w: np.ndarray, solves: int) -> np.ndarray | None:
-        # the active-set finish from the face of w in at most ``solves``
-        # solves (see the docstring): the face point that meets tol, or
-        # None
+    def finish(w: np.ndarray) -> np.ndarray | None:
+        # the active-set finish from the face of w (see the docstring):
+        # the face point that meets tol, or None
         free, at_b = (w > 0.0) & (w < B), w == B
         fewest, stalls = m + 1, 0
         first = np.count_nonzero(free | at_b)
-        for k in range(solves):
+        for k in range(FACE_SOLVES):
             F, U = np.flatnonzero(free), np.flatnonzero(at_b)
             point = face_solve(F, U)
             if point is None:
@@ -438,10 +418,8 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
                 # a sum held at an edge can round just past it; the
                 # projection puts it back as it does for the iterates
                 x = project(x)
-            elif k + 1 == solves:
+            elif k + 1 == FACE_SOLVES:
                 return None
-            # not by kernel_product: the loop's face count stays as its
-            # iterates left it
             Kx = x @ K
             if inside and residual(x, Kx) <= config.tol:
                 return x
@@ -474,12 +452,13 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     # last two products. The active-set finish (see the docstring)
     # replaces w only when its point passes the same stop test.
     w = project(np.ones(m))
-    Kw = kernel_product(w)
+    Kw = w @ K
     y, Ky, t = w, Kw, 1.0
     next_finish = FINISH_PRODUCTS
-    for _ in range(config.max_iter):
+    # products counts the kernel products, this iteration's included
+    for products in range(2, config.max_iter + 2):
         w_new = project(y - step * gradient(Ky))
-        Kw_new = kernel_product(w_new)
+        Kw_new = w_new @ K
         if y is not w and rise(w_new, Kw_new, w, Kw) > 0.0:
             y, Ky, t = w, Kw, 1.0
             continue
@@ -489,19 +468,17 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
         Ky = Kw_new + beta * (Kw_new - Kw)
         w, Kw, t = w_new, Kw_new, t_new
         if residual(w, Kw) <= config.tol:
-            break
-        # the last product was K @ w, so support and held describe w
-        solves = 1 if held >= FACE_PRODUCTS else 0
-        if products >= next_finish:
-            next_finish *= 2
-            if 2 * len(support) <= m:
-                solves = FACE_SOLVES
-        if solves > face_solves:
-            face_solves = solves
-            w_face = finish(w, solves)
+            w_face = finish(w)
             if w_face is not None:
                 w = w_face
-                break
+            break
+        if products >= next_finish:
+            next_finish *= 2
+            if 2 * np.count_nonzero(w) <= m:
+                w_face = finish(w)
+                if w_face is not None:
+                    w = w_face
+                    break
     if not np.isfinite(w).all():
         raise ArithmeticError("KMM produced non-finite weights")
     return w

@@ -255,7 +255,8 @@ def cmd_synth_bench(args) -> int:
         for row in table.rows:
             mse = "failed" if row.mean_mse is None else format_real(row.mean_mse)
             std = "" if row.std_mse is None else f" (std {format_real(row.std_mse)})"
-            print(f"  rank {row.rank}: {row.method}  mse {mse}{std}")
+            rank = "" if row.rank is None else f"rank {row.rank}: "
+            print(f"  {rank}{row.method}  mse {mse}{std}")
     if failed:
         print(f"error: {len(failed)} run(s) failed:", file=sys.stderr)
         for line in failed:
@@ -401,7 +402,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = [sub] + _expand_config(argv[1:], parser)
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        # a diverged run is caught by the finiteness checks and named, so
+        # numpy's overflow warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

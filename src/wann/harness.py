@@ -249,7 +249,7 @@ class TableRow:
     std_mse: float | None
     mean_mae: float | None
     std_mae: float | None
-    rank: int
+    rank: int | None
 
 
 @dataclass
@@ -258,7 +258,8 @@ class ComparisonTable:
 
 
 def build_comparison_table(results: list[RunResult]) -> ComparisonTable:
-    """Per-method mean/std of the final metrics, ranked by mean MSE."""
+    """Per-method mean/std of the final metrics, ranked by mean MSE; a
+    method with no finished run comes last, with rank None."""
     by_method: dict[str, list[RunResult]] = {}
     for r in results:
         by_method.setdefault(r.method, []).append(r)
@@ -273,12 +274,13 @@ def build_comparison_table(results: list[RunResult]) -> ComparisonTable:
                                  float(mses.mean()), float(mses.std()),
                                  float(maes.mean()), float(maes.std()), 0))
         else:
-            rows.append(TableRow(method, 0, None, None, None, None, 0))
+            rows.append(TableRow(method, 0, None, None, None, None, None))
     rows.sort(key=lambda row: (row.mean_mse is None,
                                row.mean_mse if row.mean_mse is not None else 0.0,
                                row.method))
     for rank, row in enumerate(rows, start=1):
-        row.rank = rank
+        if row.mean_mse is not None:
+            row.rank = rank
     return ComparisonTable(rows)
 
 

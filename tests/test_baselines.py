@@ -8,8 +8,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wann import baselines
-from wann.baselines import (FACE_PRODUCTS, MEDIAN_MAX_ROWS, KliepConfig,
-                            KmmConfig,
+from wann.baselines import (MEDIAN_MAX_ROWS, KliepConfig, KmmConfig,
                             TradaboostConfig, _gaussian_kernel,
                             _perron_bounds, _project_box_band,
                             kliep_weights, kmm_weights,
@@ -261,6 +260,18 @@ class TestKmmFaceSolve:
         assert problem.residual(w) <= config.tol
         assert problem.objective(w) <= problem.objective(reference)
 
+    def test_finishes_where_the_gradient_steps_meet_tol(self):
+        # FISTA meets tol here at a residual of about 1e-6, before any
+        # scheduled attempt succeeds; the attempt at that stop lands on
+        # the exact face point
+        Xs, Xt = mixture_draw(2, dim=1, m=1000)
+        config = KmmConfig()
+        problem = KmmProblem(Xs, Xt, config)
+        w = kmm_weights(Xs, Xt, config)
+        assert problem.residual(w) <= 1e-12
+        reference = kmm_plain_loop(Xs, Xt, config)
+        assert problem.objective(w) <= problem.objective(reference)
+
 
 @pytest.mark.slow
 class TestKmmFinishSweep:
@@ -313,7 +324,7 @@ def kmm_draw(draw):
     return mixture_draw(int(draw.partition("-draw")[2] or 7))
 
 
-def kmm_plain_loop(Xs, Xt, config, face_products=FACE_PRODUCTS):
+def kmm_plain_loop(Xs, Xt, config, face_products=10):
     """The solver without its active-set finish: the same start, step
     and restarted FISTA loop, with every product x @ K, and one exact
     solve of a face once it has held for ``face_products`` products,
@@ -355,10 +366,9 @@ def kmm_plain_loop(Xs, Xt, config, face_products=FACE_PRODUCTS):
             (m / n) * kappa[F] - config.B * K[F][:, U].sum(axis=1),
             np.ones(len(F))])
         try:
-            chol = np.linalg.cholesky(K[np.ix_(F, F)])
+            a, b = np.linalg.solve(K[np.ix_(F, F)], rhs).T
         except np.linalg.LinAlgError:
             return None
-        a, b = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
         total = a.sum() + config.B * len(U)
         if not lo <= total <= hi:
             a -= (total - (hi if total > hi else lo)) / b.sum() * b

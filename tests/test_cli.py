@@ -183,6 +183,22 @@ class TestArgumentValidation:
                     f"diverged at epoch 0") in proc.stderr
         assert (tmp_path / "bench" / "dim2" / "table.csv").exists()
 
+    def test_diverged_runs_leave_no_numpy_warning(self, tmp_path):
+        # the finiteness checks name the divergence; numpy's overflow
+        # warnings would only repeat it, and no failed method is ranked
+        out = tmp_path / "bench"
+        proc = run_cli("synth-bench", "--dims", "2", "--repeats", "1",
+                       "--m", "20", "--epochs", "3", "--pretrain-epochs",
+                       "1", "--clip", "1e100", "--lr", "1e50",
+                       "--out", str(out))
+        assert proc.returncode == 1
+        for method in ("wann", "uniform", "target_only"):
+            assert f"dim2/{method}_0: TrainingDivergedError" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "rank" not in proc.stdout
+        table = (out / "dim2" / "table.csv").read_text().splitlines()
+        assert all(line.endswith(",") for line in table[1:])
+
 
 class TestFit:
     def test_uniform_on_csv_writes_metrics(self, shift_csvs, tmp_path):

@@ -109,6 +109,11 @@ class TestComparisonTable:
         assert table.rows[0].method == "good"
         assert table.rows[1].method == "bad"
         assert table.rows[1].mean_mse is None
+        assert table.rows[0].rank == 1 and table.rows[1].rank is None
+        # a table of failures ranks nothing
+        table = build_comparison_table([RunResult("a", 0, error="x"),
+                                        RunResult("b", 0, error="y")])
+        assert [row.rank for row in table.rows] == [None, None]
 
 
 class TestRunExperiment:
