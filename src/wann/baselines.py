@@ -178,9 +178,10 @@ class KmmConfig:
 
     The solver takes the fixed step m^2/(2L), where L is a certified
     upper bound on the largest eigenvalue of the source kernel matrix K,
-    from a few power steps, and checks K positive semidefinite by a
-    Cholesky factorization (see ``kmm_weights``); it computes no
-    eigenvalues. It stops once the projected-gradient residual
+    from a few power steps; it computes no eigenvalues. Once the solve is
+    done it checks K positive semidefinite by a Cholesky factorization
+    in place on K, with O(128 m) extra floats (see ``kmm_weights``). It
+    stops once the projected-gradient residual
     max|w - P(w - step * grad f(w))| is at most ``tol``, where P is the
     projection onto the constraints. The residual is in the units of the
     weights and is zero exactly at the optimum. The gradient steps alone
@@ -260,6 +261,43 @@ def _perron_bounds(K: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+# rows per block of _positive_definite_in_place's factorization
+CHOLESKY_BLOCK = 128
+
+
+def _positive_definite_in_place(A: np.ndarray) -> bool:
+    """Whether the symmetric matrix A is numerically positive definite,
+    by a blocked Cholesky factorization in place: it reads only A's
+    lower triangle, and A holds scratch values afterwards.
+
+    Each ``CHOLESKY_BLOCK``-row diagonal block is factored by
+    ``np.linalg.cholesky``, and the first that fails ends the check. The
+    panel below the block is multiplied in place by the transposed
+    inverse of the block's factor L, and the trailing lower triangle is
+    then updated in place, one block row at a time. The scratch is
+    panel-sized, about 2 * CHOLESKY_BLOCK * m floats. With at most
+    ``CHOLESKY_BLOCK`` rows the check is one ``np.linalg.cholesky`` call
+    on A itself.
+    """
+    m = len(A)
+    for start in range(0, m, CHOLESKY_BLOCK):
+        stop = min(start + CHOLESKY_BLOCK, m)
+        try:
+            factor = np.linalg.cholesky(A[start:stop, start:stop])
+        except np.linalg.LinAlgError:
+            return False
+        if stop == m:
+            break
+        # the panel becomes A_21 L^-T, the factor's block below L
+        panel = A[stop:, start:stop]
+        panel[...] = panel @ np.linalg.inv(factor).T
+        for row in range(stop, m, CHOLESKY_BLOCK):
+            end = min(row + CHOLESKY_BLOCK, m)
+            A[row:end, stop:end] -= (panel[row - stop:end - stop]
+                                     @ panel[:end - stop].T)
+    return True
+
+
 # kernel products after which kmm_weights tries its active-set finish,
 # and again each time the count doubles; earlier tries meet the 500+ row
 # faces of the first iterates, which the schedule skips
@@ -314,10 +352,13 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
 
     L is the Collatz-Wielandt upper bound on the largest eigenvalue of
     the jittered kernel matrix K, from a few power steps; no
-    eigendecomposition is made. K must be positive semidefinite: a
-    Cholesky factorization of K + tau*I, with tau = 1e-6 * max(lo, 1) and
-    lo the matching lower bound, raises ``ArithmeticError`` when it
-    fails.
+    eigendecomposition is made. K must be positive semidefinite. Once
+    the solve is done and K is read no more, K + tau*I, with
+    tau = 1e-6 * max(lo, 1) and lo the matching lower bound, is factored
+    in place on K by ``_positive_definite_in_place``, with O(128 m) extra
+    floats, so the check makes no second m x m array. A factorization
+    that fails raises ``ArithmeticError`` before any weights are
+    returned.
     """
     config = config or KmmConfig()
     source_X, target_X, sigma = _as_samples(source_X, target_X,
@@ -338,15 +379,6 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
     kappa = _gaussian_kernel(source_X, target_X, sigma).sum(axis=1)
 
     lam_lo, lam_hi = _perron_bounds(K)
-    saved = diagonal.copy()
-    diagonal += 1e-6 * max(lam_lo, 1.0)
-    try:
-        np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
-        raise ArithmeticError("kernel matrix not positive semidefinite "
-                              "after jitter") from None
-    finally:
-        diagonal[:] = saved
     step = (m * m) / (2.0 * max(lam_hi, 1e-12))
 
     lo, hi = m * (1.0 - eps), m * (1.0 + eps)
@@ -479,6 +511,11 @@ def kmm_weights(source_X: np.ndarray, target_X: np.ndarray,
                 if w_face is not None:
                     w = w_face
                     break
+    # K is read no more, so its definiteness check may overwrite it
+    diagonal += 1e-6 * max(lam_lo, 1.0)
+    if not _positive_definite_in_place(K):
+        raise ArithmeticError("kernel matrix not positive semidefinite "
+                              "after jitter")
     if not np.isfinite(w).all():
         raise ArithmeticError("KMM produced non-finite weights")
     return w

@@ -52,10 +52,21 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def write_chart(path: str | Path, lines: list[Line] = (),
                 points: list[Points] = (), x_label: str = "",
                 y_label: str = "") -> None:
-    """Write a line/scatter chart with linear axes and a legend."""
+    """Write a line/scatter chart with linear axes and a legend.
+
+    A series with a non-finite x, y or band value is a ``ValueError``
+    that names its label, raised before the file is opened.
+    """
     series = list(lines) + list(points)
     if not series:
         raise ValueError("chart needs at least one series")
+    for s in series:
+        band = s.band if isinstance(s, Line) else None
+        for name, values in (("x", s.xs), ("y", s.ys), ("band", band)):
+            if values is not None and not np.isfinite(
+                    np.asarray(values, dtype=float)).all():
+                raise ValueError(f"series {s.label!r} has a non-finite "
+                                 f"{name} value")
     all_x = np.concatenate([np.asarray(s.xs, dtype=float) for s in series])
     ys_ext = []
     for s in series:

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from wann import baselines
 from wann.baselines import (MEDIAN_MAX_ROWS, KliepConfig, KmmConfig,
                             TradaboostConfig, _gaussian_kernel,
-                            _perron_bounds, _project_box_band,
+                            _perron_bounds, _positive_definite_in_place,
+                            _project_box_band,
                             kliep_weights, kmm_weights,
                             median_pairwise_distance, target_only_fit,
                             tradaboost_r2_fit, uniform_fit)
@@ -147,6 +148,63 @@ class TestKmm:
         with pytest.raises(ArithmeticError, match="not positive semidefinite"):
             kmm_weights(np.zeros((2, 1)), np.ones((2, 1)),
                         KmmConfig(kernel_bandwidth=1.0))
+
+    # one block, a block and one row, one row and three, at the edges of
+    # the check's 128-row blocks
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 259])
+    @pytest.mark.parametrize("definite", [True, False],
+                             ids=["definite", "indefinite"])
+    def test_definiteness_check_at_block_edges(self, monkeypatch, m,
+                                               definite):
+        # 0.5 I + 0.5 11^T is positive definite and dense, so every panel
+        # and trailing update is exercised; a negative last diagonal
+        # entry puts the only negative direction in the last block
+        K = 0.5 * np.eye(m) + 0.5
+        if not definite:
+            K[-1, -1] = -1.0
+        monkeypatch.setattr(baselines, "_gaussian_kernel",
+                            lambda X, Y, sigma: (K.copy() if Y is X
+                                                 else np.ones((len(X),
+                                                               len(Y)))))
+        Xs, Xt = np.zeros((m, 1)), np.ones((3, 1))
+        config = KmmConfig(kernel_bandwidth=1.0, max_iter=50)
+        if definite:
+            w = kmm_weights(Xs, Xt, config)
+            assert w.shape == (m,) and np.isfinite(w).all()
+        else:
+            with pytest.raises(ArithmeticError,
+                               match="not positive semidefinite"):
+                kmm_weights(Xs, Xt, config)
+
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 259, 400])
+    @pytest.mark.parametrize("lam_min", [1e-2, -1e-2, 1e-6, -1e-6,
+                                         1e-10, -1e-10])
+    def test_definiteness_verdict_matches_numpy_cholesky(self, m, lam_min):
+        rng = np.random.default_rng(m)
+        Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        spectrum = rng.uniform(abs(lam_min), 1.0, size=m)
+        spectrum[rng.integers(m)] = lam_min
+        A = (Q * spectrum) @ Q.T
+        try:
+            np.linalg.cholesky(A)
+            expected = True
+        except np.linalg.LinAlgError:
+            expected = False
+        assert _positive_definite_in_place(A) == expected
+
+    def test_holds_one_kernel_and_panel_sized_scratch(self):
+        # K (8 m^2 bytes), the cross kernel (a quarter of K here) and the
+        # check's panels; a full Cholesky factor beside K would be 2x
+        Xs, Xt = mixture_draw(7)
+        m = len(Xs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kmm_weights(Xs, Xt)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * m * m
 
     @pytest.mark.parametrize("seed", [7, 101, 3])
     def test_kernel_is_exactly_symmetric_on_mixture_draws(self, seed):
