@@ -25,8 +25,8 @@ from .baselines import MIN_BANDWIDTH, KliepConfig, KmmConfig, TradaboostConfig
 from .data import (CsvSchema, LabeledSample, MixtureShiftSpec,
                    csv_feature_cols, gen_uniform_shift_1d, load_csv)
 from .discrepancy import ASCENT_EPOCHS, estimate_y_discrepancy
-from .harness import (RUNNERS, ExperimentConfig, MethodSpec, run_experiment,
-                      run_method)
+from .harness import (RUNNERS, ExperimentConfig, MethodSpec, method_lanes,
+                      run_experiment, run_method, run_methods)
 from .nn import ArchSpec, FitConfig
 from .results import format_real, parse_kv_lines, write_run_file
 from .svgplot import Line, Points, write_chart
@@ -144,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--parallel", type=_count, default=1,
                        help="worker processes for repeats; each inherits "
                             "numpy's BLAS threads, so set "
-                            "OPENBLAS_NUM_THREADS=1 with it")
+                            "OPENBLAS_NUM_THREADS=1 with it (at one BLAS "
+                            "thread the default already runs a repeat's "
+                            "methods on two cores)")
     bench.add_argument("--out", required=True, help="output directory")
     _add_net_flags(bench)
     _add_common(bench)
@@ -342,8 +344,8 @@ def cmd_demo_negative_transfer(args) -> int:
              MethodSpec("wann", dict(params,
                                      pretrain_epochs=args.pretrain_epochs))]
     results = {}
-    for spec in specs:
-        result = run_method(spec, train, grid, args.seed)
+    for spec, result in zip(specs, run_methods(specs, train, grid, args.seed,
+                                               method_lanes())):
         if result.error is not None:
             raise RuntimeError(f"{spec.name} failed: {result.error}")
         results[spec.name] = result

@@ -14,17 +14,15 @@ the differentiable objective. The reported figure is the running best
 from __future__ import annotations
 
 import contextvars
-import ctypes
 import functools
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import lanes
 from .data import LabeledSample, checked
 from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
                  adam_step, forward, weighted_mse_grad)
@@ -136,41 +134,9 @@ def _ascend(net: Mlp, sign: float, pooled: _Pooled, config: FitConfig,
     return best
 
 
-@functools.cache
-def _blas_threads() -> int | None:
-    """Thread count of numpy's bundled OpenBLAS, or None when it cannot
-    be read (another BLAS, or no library found)."""
-    root = Path(np.__file__).parent
-    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
-                       *root.glob(".dylibs/*openblas*")]):
-        try:
-            get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.restype = ctypes.c_int
-        get.argtypes = ()
-        return get()
-    return None
-
-
 def _ascent_workers() -> int:
-    """Threads the two one-sided ascents run on: 2 when numpy's BLAS runs
-    one thread, this process may use two cores and the engine functions
-    are the package's own, 1 otherwise.
-
-    Two ascents on a multi-threaded BLAS contend for its threads and run
-    slower than one after the other. A replaced engine function (a
-    profiler's wrapper, say) may keep state of its own across calls, so
-    it is never called from two threads.
-    """
-    engine = (forward, weighted_mse_grad, adam_step)
-    if any(f is not g for f, g in zip(engine, _ENGINE)):
-        return 1
-    if _blas_threads() != 1:
-        return 1
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return min(2, cores)
+    """Threads the two one-sided ascents run on (``lanes.lane_count``)."""
+    return lanes.lane_count((forward, weighted_mse_grad, adam_step), _ENGINE)
 
 
 def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,

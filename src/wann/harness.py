@@ -10,8 +10,11 @@ persisted artifacts are byte-reproducible from the configuration.
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import signal
+import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -20,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import baselines
+from . import baselines, lanes
 from .data import (LabeledSample, MixtureShiftSpec, TrainingSet, checked,
                    gen_mixture_shift)
 from .nn import ArchSpec, FitConfig, FitTrace, fit_regression, forward
@@ -187,6 +190,13 @@ RUNNERS = {
 }
 
 
+def _runner(name: str) -> Callable[..., Fitted]:
+    if name not in RUNNERS:
+        raise ValueError(f"unknown method {name!r}; "
+                         f"choices: {sorted(RUNNERS)}")
+    return RUNNERS[name]
+
+
 def run_method(spec: MethodSpec, train: TrainingSet,
                validation: LabeledSample | None, seed: int) -> RunResult:
     """Run one method, capturing failures as an error-tagged result.
@@ -196,9 +206,7 @@ def run_method(spec: MethodSpec, train: TrainingSet,
     validation sample whose width differs from the training set's are
     such failures, found before the method starts.
     """
-    if spec.name not in RUNNERS:
-        raise ValueError(f"unknown method {spec.name!r}; "
-                         f"choices: {sorted(RUNNERS)}")
+    runner = _runner(spec.name)
     start = time.perf_counter()
     result = RunResult(method=spec.name, seed=seed)
     try:
@@ -213,8 +221,7 @@ def run_method(spec: MethodSpec, train: TrainingSet,
             checked("validation.y", validation.y, ndim=1)
             if len(validation) == 0:
                 raise ValueError("validation sample is empty")
-        predictor, trace, weights = RUNNERS[spec.name](train, validation,
-                                                       configs)
+        predictor, trace, weights = runner(train, validation, configs)
         result.curve = trace.val_mse
         result.weights = weights
         if validation is not None:
@@ -234,11 +241,97 @@ def run_method(spec: MethodSpec, train: TrainingSet,
     return result
 
 
-def _run_repeat(scenario: MixtureShiftSpec,
-                methods: tuple[MethodSpec, ...], seed: int) -> list[RunResult]:
+def _engine() -> tuple:
+    """The functions a method's run looks up in this module."""
+    return (run_method, forward, predict, fit_regression, fit_wann,
+            pretrain_weighter, build_wann_model, *RUNNERS.values())
+
+
+# the functions a method's run calls, as imported (see method_lanes)
+_ENGINE = _engine()
+
+
+def method_lanes(n_workers: int = 1) -> int:
+    """Lanes ``run_methods`` may run a repeat's methods on: 2 when
+    ``lanes.lane_count`` allows two, ``n_workers`` is 1, the ``fork``
+    start method exists and this process runs one thread and may have
+    children; 1 otherwise.
+
+    Worker processes for repeats already fill the cores, and a child
+    forked beside another thread may inherit a lock that thread holds.
+    """
+    if (n_workers > 1 or threading.active_count() > 1
+            or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return lanes.lane_count(_engine(), _ENGINE)
+
+
+def run_methods(specs: Sequence[MethodSpec], train: TrainingSet,
+                validation: LabeledSample | None, seed: int,
+                n_lanes: int) -> list[RunResult]:
+    """``run_method`` on each spec, the results in the order of ``specs``.
+
+    With two lanes (see ``method_lanes``) the caller runs the first spec
+    while one forked child runs the rest and sends their results back
+    through a pipe in one message; every result is the same to the bit
+    either way. The child is always joined, and terminated first if the
+    caller raises. If the child dies before it sends, each of its specs
+    gets an error-tagged result that names the child's exit code. If no
+    child can be forked, the caller runs every spec. An unknown method
+    name raises before any spec runs.
+    """
+    for spec in specs:
+        _runner(spec.name)
+    if n_lanes < 2 or len(specs) < 2:
+        return [run_method(spec, train, validation, seed) for spec in specs]
+    rest = specs[1:]
+
+    def child_lane() -> None:
+        # Ctrl-C reaches the whole process group; the caller, which gets
+        # it too, ends the child
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        send.send([run_method(spec, train, validation, seed)
+                   for spec in rest])
+
+    fork = multiprocessing.get_context("fork")
+    receive, send = fork.Pipe(duplex=False)
+    child = fork.Process(target=child_lane, daemon=True)
+    try:
+        child.start()
+    except OSError:  # no process to be had: the caller runs every spec
+        child = None
+    send.close()
+    try:
+        results = [run_method(specs[0], train, validation, seed)]
+        if child is None:
+            return results + [run_method(spec, train, validation, seed)
+                              for spec in rest]
+        try:
+            results += receive.recv()
+        except EOFError:  # the child died before it sent
+            child.join()
+            results += [RunResult(method=spec.name, seed=seed,
+                                  error=f"ChildProcessError: the method "
+                                        f"lane's child exited with code "
+                                        f"{child.exitcode} before sending "
+                                        f"this result")
+                        for spec in rest]
+        child.join()
+    except BaseException:
+        if child is not None:
+            child.terminate()
+            child.join()
+        raise
+    finally:
+        receive.close()
+    return results
+
+
+def _run_repeat(scenario: MixtureShiftSpec, methods: tuple[MethodSpec, ...],
+                seed: int, *, n_lanes: int) -> list[RunResult]:
     data = gen_mixture_shift(replace(scenario, seed=seed))
-    return [run_method(spec, data.train, data.validation, seed)
-            for spec in methods]
+    return run_methods(methods, data.train, data.validation, seed, n_lanes)
 
 
 @dataclass
@@ -373,14 +466,13 @@ def run_experiment(config: ExperimentConfig
     method. A method failure is recorded in its result, not raised.
     """
     seeds = [config.base_seed + r for r in range(config.n_repeats)]
+    repeat = partial(_run_repeat, config.scenario, config.methods,
+                     n_lanes=method_lanes(config.n_workers))
     if config.n_workers > 1:
         with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
-            batches = list(pool.map(
-                _run_repeat, [config.scenario] * len(seeds),
-                [config.methods] * len(seeds), seeds))
+            batches = list(pool.map(repeat, seeds))
     else:
-        batches = [_run_repeat(config.scenario, config.methods, seed)
-                   for seed in seeds]
+        batches = [repeat(seed) for seed in seeds]
     results = [result for batch in batches for result in batch]
     results.sort(key=lambda r: (r.method, r.seed))
     if config.out_dir is not None:

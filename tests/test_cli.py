@@ -153,6 +153,21 @@ class TestArgumentValidation:
         assert "--batch-size" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_piped_stdout_prints_each_dimension_once(self, tmp_path):
+        # at one BLAS thread a forked child runs some of a repeat's
+        # methods; stdout, block-buffered into a pipe, must not hold the
+        # last dimension's lines when it forks, or the child writes them
+        # again as it exits
+        proc = run_cli("synth-bench", "--dims", "2,4", "--repeats", "2",
+                       "--m", "40", "--out", str(tmp_path / "bench"),
+                       *FAST_NET, env_extra={"OPENBLAS_NUM_THREADS": "1",
+                                             "PYTHONUNBUFFERED": ""})
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line for line in lines if line.startswith("dim")] == [
+            "dim 2:", "dim 4:"]
+        assert len(lines) == 8  # a header and three methods per dimension
+
     def test_failed_run_exits_one_after_writing_artifacts(self, tmp_path):
         out = tmp_path / "bench"
         # 99% of 40 rows rounds to 40 target rows and no source row:

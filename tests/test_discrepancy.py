@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wann import discrepancy
+from wann import discrepancy, lanes
 from wann.data import LabeledSample, TrainingSet, gen_uniform_shift_1d, labeling_fn
 from wann.discrepancy import estimate_y_discrepancy, gap_weights
 from wann.nn import ArchSpec, FitConfig, TrainingDivergedError
@@ -284,13 +284,13 @@ class TestConcurrentSides:
 
     @pytest.mark.parametrize("blas", [1, 2, None])
     def test_two_workers_only_on_one_blas_thread(self, blas, monkeypatch):
-        monkeypatch.setattr(discrepancy, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(lanes, "blas_threads", lambda: blas)
         cores = len(os.sched_getaffinity(0))
         assert discrepancy._ascent_workers() == (min(2, cores) if blas == 1
                                                  else 1)
 
     def test_replaced_engine_function_runs_serially(self, monkeypatch):
-        monkeypatch.setattr(discrepancy, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(lanes, "blas_threads", lambda: 1)
         forward = discrepancy.forward
         monkeypatch.setattr(discrepancy, "forward",
                             lambda net, X: forward(net, X))
@@ -342,13 +342,13 @@ class TestConcurrentSides:
         # environment; the serial result comes from the same process
         script = (
             "import os\n"
-            "from wann import discrepancy\n"
+            "from wann import discrepancy, lanes\n"
             "from test_discrepancy import _estimate\n"
             "workers = discrepancy._ascent_workers()\n"
             "concurrent = _estimate()\n"
             "discrepancy._ascent_workers = lambda: 1\n"
             "serial = _estimate()\n"
-            "print(discrepancy._blas_threads(), workers,\n"
+            "print(lanes.blas_threads(), workers,\n"
             "      len(os.sched_getaffinity(0)))\n"
             "print(*(v.hex() for v in (concurrent.value,\n"
             "      concurrent.positive_side, concurrent.negative_side)))\n"

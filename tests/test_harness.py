@@ -1,19 +1,27 @@
 import dataclasses
 import filecmp
+import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wann import baselines, harness, training
+from wann import baselines, harness, lanes, training
 from wann.data import (LabeledSample, MixtureShiftSpec, TrainingSet,
                        gen_mixture_shift)
 from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig, MethodSpec,
                           build_comparison_table, compute_metrics,
-                          emit_plot_data, export_results, run_experiment,
-                          run_method)
+                          emit_plot_data, export_results, method_lanes,
+                          run_experiment, run_method, run_methods)
 from wann.nn import ArchSpec, FitConfig, forward
 from wann.training import predict
 from wann.baselines import uniform_fit
@@ -359,6 +367,271 @@ class TestMethodSpec:
         result = run_method(MethodSpec(method, dict(FAST)), train,
                             validation, seed=8)
         assert result.error == f"ValueError: {message}"
+
+
+# a mixed list for the lane tests: four methods that train and one whose
+# configuration fails before it starts
+LANE_SPECS = (MethodSpec("wann", dict(FAST)), MethodSpec("uniform", dict(FAST)),
+              MethodSpec("target_only", dict(FAST)),
+              MethodSpec("kmm", dict(FAST)),
+              MethodSpec("kliep", dict(FAST, hidden=(0,))))
+
+
+def same_results(one: RunResult, two: RunResult) -> bool:
+    """Every field but the wall time is equal, arrays to the bit."""
+    def arrays(r):
+        return [None if a is None else np.asarray(a).tobytes()
+                for a in (r.weights, r.predictions)]
+    return ((one.method, one.seed, one.curve, one.final_mse, one.final_mae,
+             one.error) == (two.method, two.seed, two.curve, two.final_mse,
+                            two.final_mae, two.error)
+            and arrays(one) == arrays(two))
+
+
+def wait_for(path: Path, seconds: float = 60.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} never appeared"
+        time.sleep(0.005)
+
+
+class TestMethodLanes:
+    @pytest.fixture
+    def one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(lanes, "blas_threads", lambda: 1)
+        return min(2, len(os.sched_getaffinity(0)))
+
+    def test_two_lanes_give_the_bits_of_one(self, tmp_path, monkeypatch):
+        runs = {}
+        for n_lanes in (1, 2):
+            monkeypatch.setattr(harness, "method_lanes",
+                                lambda n_workers=1, n=n_lanes: n)
+            out = tmp_path / f"lanes{n_lanes}"
+            results, _ = run_experiment(ExperimentConfig(
+                scenario=TINY, methods=LANE_SPECS, n_repeats=2, base_seed=3,
+                out_dir=str(out)))
+            runs[n_lanes] = results
+        assert len(runs[1]) == len(runs[2]) == 10
+        assert all(same_results(a, b) for a, b in zip(runs[1], runs[2]))
+        assert sum(r.error is not None for r in runs[2]) == 2
+        files = sorted(p.relative_to(tmp_path / "lanes1")
+                       for p in (tmp_path / "lanes1").rglob("*")
+                       if p.is_file())
+        assert files == sorted(p.relative_to(tmp_path / "lanes2")
+                               for p in (tmp_path / "lanes2").rglob("*")
+                               if p.is_file())
+        for rel in files:
+            assert filecmp.cmp(tmp_path / "lanes1" / rel,
+                               tmp_path / "lanes2" / rel, shallow=False), rel
+        assert multiprocessing.active_children() == []
+
+    def test_results_keep_the_order_of_the_specs(self):
+        data = gen_mixture_shift(replace(TINY, seed=4))
+        results = run_methods(LANE_SPECS[::-1], data.train, data.validation,
+                              4, n_lanes=2)
+        assert [r.method for r in results] == [
+            spec.name for spec in LANE_SPECS[::-1]]
+
+    def test_two_lanes_on_one_blas_thread(self, one_blas_thread):
+        assert method_lanes() == one_blas_thread
+
+    @pytest.mark.parametrize("blas", [2, None])
+    def test_one_lane_unless_blas_runs_one_thread(self, blas, monkeypatch):
+        monkeypatch.setattr(lanes, "blas_threads", lambda: blas)
+        assert method_lanes() == 1
+
+    def test_one_lane_on_one_core(self, one_blas_thread, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert method_lanes() == 1
+
+    @pytest.mark.parametrize("replaced", ["forward", "runner"])
+    def test_one_lane_with_a_replaced_engine_function(
+            self, one_blas_thread, monkeypatch, replaced):
+        if replaced == "forward":
+            monkeypatch.setattr(harness, "forward",
+                                lambda net, X: forward(net, X))
+        else:
+            monkeypatch.setitem(RUNNERS, "uniform", RUNNERS["target_only"])
+        assert method_lanes() == 1
+
+    def test_one_lane_beside_another_thread(self, one_blas_thread):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert method_lanes() == 1
+        finally:
+            release.set()
+            other.join()
+        assert method_lanes() == one_blas_thread
+
+    def test_one_lane_beside_worker_processes(self, one_blas_thread):
+        assert method_lanes(n_workers=2) == 1
+
+    def test_a_dead_child_gives_error_results(self, monkeypatch):
+        # the child runs every spec but the first; its first runner ends
+        # it with exit code 3, so neither of its results is sent
+        caller, target_only = os.getpid(), RUNNERS["target_only"]
+
+        def fatal_target_only(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return target_only(*args)
+
+        monkeypatch.setitem(RUNNERS, "target_only", fatal_target_only)
+        data = gen_mixture_shift(replace(TINY, seed=5))
+        specs = [MethodSpec("uniform", dict(FAST)),
+                 MethodSpec("target_only", dict(FAST)),
+                 MethodSpec("wann", dict(FAST))]
+        results = run_methods(specs, data.train, data.validation, 5,
+                              n_lanes=2)
+        assert [r.method for r in results] == ["uniform", "target_only",
+                                               "wann"]
+        for result in results[1:]:
+            assert result.error == (
+                "ChildProcessError: the method lane's child exited with "
+                "code 3 before sending this result")
+            assert result.final_mse is None
+        monkeypatch.undo()
+        assert same_results(results[0], run_method(
+            specs[0], data.train, data.validation, 5))
+        assert multiprocessing.active_children() == []
+
+    def test_a_caller_error_ends_the_child(self, tmp_path, monkeypatch):
+        caller, taken = os.getpid(), tmp_path / "taken"
+
+        def interrupted(*args):
+            wait_for(taken)
+            raise KeyboardInterrupt
+
+        def endless(*args):
+            if os.getpid() != caller:
+                taken.touch()
+            time.sleep(120)
+
+        monkeypatch.setitem(RUNNERS, "uniform", interrupted)
+        monkeypatch.setitem(RUNNERS, "target_only", endless)
+        data = gen_mixture_shift(replace(TINY, seed=5))
+        specs = [MethodSpec("uniform", dict(FAST)),
+                 MethodSpec("target_only", dict(FAST))]
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_methods(specs, data.train, data.validation, 5, n_lanes=2)
+        assert time.monotonic() - start < 60
+        assert multiprocessing.active_children() == []
+
+    def test_the_child_leaves_ctrl_c_to_the_caller(self, monkeypatch):
+        caller, target_only = os.getpid(), RUNNERS["target_only"]
+
+        def interrupted_target_only(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGINT)
+            return target_only(*args)
+
+        monkeypatch.setitem(RUNNERS, "target_only", interrupted_target_only)
+        data = gen_mixture_shift(replace(TINY, seed=5))
+        specs = [MethodSpec("uniform", dict(FAST)),
+                 MethodSpec("target_only", dict(FAST))]
+        results = run_methods(specs, data.train, data.validation, 5,
+                              n_lanes=2)
+        assert [r.error for r in results] == [None, None]
+
+    def test_no_semaphores_needed(self, tmp_path, monkeypatch):
+        # where sem_open is missing (no /dev/shm) multiprocessing's
+        # synchronize module fails to import; the lanes use none of it
+        caller, ran = os.getpid(), tmp_path / "ran"
+        target_only = RUNNERS["target_only"]
+
+        def named_target_only(*args):
+            ran.write_text(str(os.getpid()))
+            return target_only(*args)
+
+        data = gen_mixture_shift(replace(TINY, seed=6))
+        serial = run_methods(LANE_SPECS, data.train, data.validation, 6,
+                             n_lanes=1)
+        monkeypatch.setitem(sys.modules, "multiprocessing.synchronize", None)
+        monkeypatch.setitem(RUNNERS, "target_only", named_target_only)
+        results = run_methods(LANE_SPECS, data.train, data.validation, 6,
+                              n_lanes=2)
+        assert all(same_results(a, b) for a, b in zip(serial, results))
+        assert int(ran.read_text()) != caller
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_leaves_the_caller_every_spec(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        data = gen_mixture_shift(replace(TINY, seed=6))
+        serial = run_methods(LANE_SPECS, data.train, data.validation, 6,
+                             n_lanes=1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        results = run_methods(LANE_SPECS, data.train, data.validation, 6,
+                              n_lanes=2)
+        assert all(same_results(a, b) for a, b in zip(serial, results))
+
+    def test_unknown_method_raises_before_any_spec_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a spec ran")
+
+        monkeypatch.setitem(RUNNERS, "uniform", refuse)
+        data = gen_mixture_shift(replace(TINY, seed=6))
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            run_methods([MethodSpec("uniform"), MethodSpec("nope")],
+                        data.train, data.validation, 6, n_lanes=2)
+
+    def test_one_blas_thread_takes_the_fork_lane(self):
+        # a fresh process, so the BLAS reads its thread count from the
+        # environment. The first run takes the rule's lanes as they are;
+        # the second wraps every runner to name the process it ran in,
+        # and keeps the lane count the rule gave before the wrapping
+        script = (
+            "import os\n"
+            "from wann import harness, lanes\n"
+            "from test_harness import LANE_SPECS, TINY\n"
+            "def bits():\n"
+            "    results, _ = harness.run_experiment(\n"
+            "        harness.ExperimentConfig(TINY, LANE_SPECS, 2, 3))\n"
+            "    return [(r.method, r.seed, r.error, r.final_mse, r.curve,\n"
+            "             None if r.weights is None else r.weights.tobytes(),\n"
+            "             None if r.predictions is None\n"
+            "             else r.predictions.tobytes()) for r in results]\n"
+            "def naming(name, runner):\n"
+            "    def run(*args):\n"
+            "        # one write, so that the two lanes' lines do not mix\n"
+            "        os.write(2, f'ran {name} {os.getpid()}\\n'.encode())\n"
+            "        return runner(*args)\n"
+            "    return run\n"
+            "n_lanes = harness.method_lanes()\n"
+            "by_rule = bits()\n"
+            "for name, runner in list(harness.RUNNERS.items()):\n"
+            "    harness.RUNNERS[name] = naming(name, runner)\n"
+            "harness.method_lanes = lambda n_workers=1: n_lanes\n"
+            "named = bits()\n"
+            "harness.method_lanes = lambda n_workers=1: 1\n"
+            "serial = bits()\n"
+            "print(lanes.blas_threads(), n_lanes, len(os.sched_getaffinity(0)),\n"
+            "      os.getpid(), by_rule == named == serial)\n")
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(here.parent / "src"), str(here),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        blas, n_lanes, cores, caller, same = proc.stdout.split()
+        if blas == "None":
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        assert (blas, int(n_lanes)) == ("1", min(2, int(cores)))
+        assert same == "True"
+        ran = [line.split() for line in proc.stderr.splitlines()
+               if line.startswith("ran ")]
+        # 2 repeats of the 4 specs that reach their runner on the rule's
+        # lanes, then 2 of 4 on one lane
+        assert len(ran) == 16, proc.stderr
+        assert all(pid == caller for _, _, pid in ran[8:])
+        if int(n_lanes) == 2:
+            assert {pid for _, _, pid in ran[:8]} - {caller}
 
 
 class TestPlotOutputs:
