@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSample, TrainingSet, checked
-from .nn import ArchSpec, FitConfig, FitTrace, Mlp, fit_regression, forward
+from .nn import ArchSpec, FitConfig, FitTrace, Mlp, fit_network, forward
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny  # kernel mass below it is none to KLIEP
@@ -28,10 +28,8 @@ def uniform_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
                 ) -> tuple[Mlp, FitTrace]:
     """Fit one network on all rows with weights 1/(m+n)."""
     k = len(train)
-    net = arch.build(train.X.shape[1], rng=np.random.default_rng(config.seed))
-    trace = fit_regression(net, train.X, train.y, np.full(k, 1.0 / k),
-                           config, validation)
-    return net, trace
+    return fit_network(arch, train.X, train.y, np.full(k, 1.0 / k), config,
+                       validation)
 
 
 def target_only_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
@@ -41,11 +39,8 @@ def target_only_fit(train: TrainingSet, arch: ArchSpec, config: FitConfig,
     rows = train.target_rows()
     if len(rows) == 0:
         raise ValueError("target-only fit needs at least one target row")
-    net = arch.build(train.X.shape[1], rng=np.random.default_rng(config.seed))
-    trace = fit_regression(net, rows.X, rows.y,
-                           np.full(len(rows), 1.0 / len(rows)),
-                           config, validation)
-    return net, trace
+    return fit_network(arch, rows.X, rows.y,
+                       np.full(len(rows), 1.0 / len(rows)), config, validation)
 
 
 # rows above which the median bandwidth is taken over a subsample, so its
@@ -680,11 +675,8 @@ def tradaboost_r2_fit(train: TrainingSet, config: TradaboostConfig | None = None
     log_inv_betas: list[float] = []
     history: list[np.ndarray] = []
     for t in range(config.n_iterations):
-        seed = config.fit.seed + t
-        net = config.arch.build(train.X.shape[1],
-                                rng=np.random.default_rng(seed))
-        fit_regression(net, train.X, train.y, weights,
-                       replace(config.fit, seed=seed))
+        net, _ = fit_network(config.arch, train.X, train.y, weights,
+                             replace(config.fit, seed=config.fit.seed + t))
         learners.append(net)
 
         abs_err = np.abs(forward(net, train.X) - train.y)

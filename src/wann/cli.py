@@ -144,9 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--parallel", type=_count, default=1,
                        help="worker processes for repeats; each inherits "
                             "numpy's BLAS threads, so set "
-                            "OPENBLAS_NUM_THREADS=1 with it (at one BLAS "
-                            "thread the default already runs a repeat's "
-                            "methods on two cores)")
+                            "OPENBLAS_NUM_THREADS=1 with it. At one BLAS "
+                            "thread the default runs a repeat's methods on "
+                            "two cores, but with more repeats than cores "
+                            "the workers are still faster")
     bench.add_argument("--out", required=True, help="output directory")
     _add_net_flags(bench)
     _add_common(bench)
@@ -254,7 +255,7 @@ def cmd_synth_bench(args) -> int:
         failed += [f"dim{dim}/{r.method}_{r.seed}: {r.error}"
                    for r in results if r.error is not None]
         print(f"dim {dim}:")
-        for row in table.rows:
+        for row in table:
             mse = "failed" if row.mean_mse is None else format_real(row.mean_mse)
             std = "" if row.std_mse is None else f" (std {format_real(row.std_mse)})"
             rank = "" if row.rank is None else f"rank {row.rank}: "

@@ -26,7 +26,7 @@ import numpy as np
 from . import baselines, lanes
 from .data import (LabeledSample, MixtureShiftSpec, TrainingSet, checked,
                    gen_mixture_shift)
-from .nn import ArchSpec, FitConfig, FitTrace, fit_regression, forward
+from .nn import ArchSpec, FitConfig, FitTrace, fit_network, forward
 from .results import (CURVE_METRIC, RunResult, compute_metrics, format_real,
                       write_run_file)
 from .svgplot import Line, write_chart
@@ -156,10 +156,8 @@ def _density_weighted_fit(weights, train, validation, configs: MethodConfigs
     k = len(train)
     per_row = np.full(k, 1.0 / k)
     per_row[~train.is_target] = weights / k
-    net = configs.arch.build(train.X.shape[1],
-                             rng=np.random.default_rng(configs.fit.seed))
-    trace = fit_regression(net, train.X, train.y, per_row, configs.fit,
-                           validation)
+    net, trace = fit_network(configs.arch, train.X, train.y, per_row,
+                             configs.fit, validation)
     return partial(forward, net), trace, weights
 
 
@@ -243,7 +241,7 @@ def run_method(spec: MethodSpec, train: TrainingSet,
 
 def _engine() -> tuple:
     """The functions a method's run looks up in this module."""
-    return (run_method, forward, predict, fit_regression, fit_wann,
+    return (run_method, forward, predict, fit_network, fit_wann,
             pretrain_weighter, build_wann_model, *RUNNERS.values())
 
 
@@ -345,12 +343,7 @@ class TableRow:
     rank: int | None
 
 
-@dataclass
-class ComparisonTable:
-    rows: list[TableRow]
-
-
-def build_comparison_table(results: list[RunResult]) -> ComparisonTable:
+def build_comparison_table(results: list[RunResult]) -> list[TableRow]:
     """Per-method mean/std of the final metrics, ranked by mean MSE; a
     method with no finished run comes last, with rank None."""
     by_method: dict[str, list[RunResult]] = {}
@@ -374,11 +367,11 @@ def build_comparison_table(results: list[RunResult]) -> ComparisonTable:
     for rank, row in enumerate(rows, start=1):
         if row.mean_mse is not None:
             row.rank = rank
-    return ComparisonTable(rows)
+    return rows
 
 
 def export_results(results: list[RunResult], out_dir: str | Path
-                   ) -> ComparisonTable:
+                   ) -> list[TableRow]:
     """Write one run file per result plus the aggregate table CSV."""
     if not results:
         raise ValueError("no results to export")
@@ -392,7 +385,7 @@ def export_results(results: list[RunResult], out_dir: str | Path
         writer = csv.writer(fh)
         writer.writerow(["method", "n_runs", "mean_mse", "std_mse",
                          "mean_mae", "std_mae", "rank"])
-        for row in table.rows:
+        for row in table:
             writer.writerow([
                 row.method, row.n_runs,
                 "" if row.mean_mse is None else format_real(row.mean_mse),
@@ -459,7 +452,7 @@ def emit_plot_data(results: list[RunResult], out_dir: str | Path) -> None:
 
 
 def run_experiment(config: ExperimentConfig
-                   ) -> tuple[list[RunResult], ComparisonTable]:
+                   ) -> tuple[list[RunResult], list[TableRow]]:
     """Run every (method, repeat) pair; persist when out_dir is set.
 
     Repeat r uses seed base_seed + r for the data draw and every

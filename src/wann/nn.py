@@ -177,24 +177,16 @@ class ArchSpec:
         _check_arch(self.hidden, self.clip)
 
     def build(self, n_inputs: int, *, rng: np.random.Generator) -> "Mlp":
-        return build_mlp(n_inputs, self.hidden, clip=self.clip, rng=rng)
-
-
-def build_mlp(n_inputs: int, hidden: tuple[int, ...] = ArchSpec.hidden, *,
-              clip: float = ArchSpec.clip, rng: np.random.Generator) -> Mlp:
-    """Create an MLP with relu hidden layers and a linear scalar output.
-
-    Weights are Glorot-uniform from ``rng``, biases zero, and then
-    clipped.
-    """
-    dims = [n_inputs, *hidden, 1]
-    layers = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        layers.append(DenseLayer(weights, np.zeros(fan_out)))
-    return clip_weights(Mlp(layers, clip=clip))
+        """A member of the class on ``n_inputs`` features: weights
+        Glorot-uniform from ``rng``, biases zero, and then clipped."""
+        dims = [n_inputs, *self.hidden, 1]
+        layers = []
+        for k in range(len(dims) - 1):
+            fan_in, fan_out = dims[k], dims[k + 1]
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            weights = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+            layers.append(DenseLayer(weights, np.zeros(fan_out)))
+        return clip_weights(Mlp(layers, clip=self.clip))
 
 
 def _forward_cache(net: Mlp, X: np.ndarray):
@@ -443,6 +435,15 @@ def fit_regression(net: Mlp, X: np.ndarray, y: np.ndarray, w: np.ndarray,
         if validation is not None:
             trace.record(net, validation, epoch)
     return trace
+
+
+def fit_network(arch: ArchSpec, X: np.ndarray, y: np.ndarray, w: np.ndarray,
+                config: FitConfig, validation: LabeledSample | None = None
+                ) -> tuple[Mlp, FitTrace]:
+    """``fit_regression`` of a fresh member of ``arch``, drawn from
+    ``np.random.default_rng(config.seed)``; returns the net and trace."""
+    net = arch.build(np.shape(X)[1], rng=np.random.default_rng(config.seed))
+    return net, fit_regression(net, X, y, w, config, validation)
 
 
 class TrainingDivergedError(RuntimeError):

@@ -27,7 +27,7 @@ from wann.data import (MixtureShiftSpec, LabeledSample, TrainingSet,
 from wann.discrepancy import estimate_y_discrepancy
 from wann.harness import ExperimentConfig, MethodSpec, run_experiment
 from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
-                     build_mlp, fit_regression, forward, weighted_mse_grad)
+                     fit_regression, forward, weighted_mse_grad)
 from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
                            pretrain_weighter, training_weights, wann_step)
 
@@ -64,8 +64,8 @@ def test_criterion_01_gradient_oracle():
         depth = rng.integers(0, 3)
         hidden = tuple(int(rng.integers(2, 9)) for _ in range(depth))
         d = int(rng.integers(1, 6))
-        net = build_mlp(d, hidden, rng=rng)
-        # nonzero biases: with build_mlp's zero biases, a unit fed only
+        net = ArchSpec(hidden).build(d, rng=rng)
+        # nonzero biases: with ArchSpec.build's zero biases, a unit fed only
         # by dead relus sits exactly at its kink, where the loss has no
         # derivative for the differences to approximate
         for layer in net.layers:
@@ -166,7 +166,7 @@ def test_criterion_03_synthetic_reproduction(tmp_path):
                      MethodSpec("target_only", dict(PROTOCOL))],
             n_repeats=5, base_seed=0, out_dir=str(tmp_path / f"dim{dim}"))
         results, table = run_experiment(config)
-        means = {row.method: row.mean_mse for row in table.rows}
+        means = {row.method: row.mean_mse for row in table}
         assert means["wann"] < means["uniform"], (dim, means)
         assert means["wann"] < means["target_only"], (dim, means)
 

@@ -15,9 +15,10 @@ from wann.baselines import (MEDIAN_MAX_ROWS, KliepConfig, KmmConfig,
                             kliep_weights, kmm_weights,
                             median_pairwise_distance, target_only_fit,
                             tradaboost_r2_fit, uniform_fit)
-from wann.data import (MixtureShiftSpec, TrainingSet, gen_mixture_shift,
-                       gen_uniform_shift_1d)
-from wann.nn import ArchSpec, FitConfig, fit_regression, forward
+from wann.data import (LabeledSample, MixtureShiftSpec, TrainingSet,
+                       gen_mixture_shift, gen_uniform_shift_1d)
+from wann.harness import MethodSpec, run_method
+from wann.nn import ArchSpec, FitConfig, fit_network, forward
 
 
 def make_train(m=30, n=10, d=2, seed=0, label_fn=None):
@@ -29,17 +30,62 @@ def make_train(m=30, n=10, d=2, seed=0, label_fn=None):
     return TrainingSet(X, label_fn(X), flags)
 
 
+def _uniform_fits(train, arch, config, validation):
+    net, _ = uniform_fit(train, arch, config)
+    k = len(train)
+    return [(net, train.X, train.y, np.full(k, 1 / k), config)]
+
+
+def _target_only_fits(train, arch, config, validation):
+    net, _ = target_only_fit(train, arch, config)
+    rows = train.target_rows()
+    n = len(rows)
+    return [(net, rows.X, rows.y, np.full(n, 1 / n), config)]
+
+
+def _density_fits(method):
+    """A run of ``method`` through run_method: its predictions, and the
+    fit of source weights w/k and target weights 1/k they come from."""
+    def fits(train, arch, config, validation):
+        params = {"hidden": arch.hidden, "clip": arch.clip,
+                  "epochs": config.epochs, "batch_size": config.batch_size}
+        result = run_method(MethodSpec(method, params), train, validation,
+                            config.seed)
+        k = len(train)
+        w = np.full(k, 1 / k)
+        w[~train.is_target] = result.weights / k
+        return [(result.predictions, train.X, train.y, w, config)]
+    return fits
+
+
+def _tradaboost_fits(train, arch, config, validation):
+    ensemble = tradaboost_r2_fit(train, TradaboostConfig(2, arch, config))
+    k = len(train)
+    assert len(ensemble.learners) == 2
+    return [(ensemble.learners[0], train.X, train.y, np.full(k, 1 / k),
+             config),
+            (ensemble.learners[1], train.X, train.y,
+             ensemble.weight_history[0], replace(config, seed=config.seed + 1))]
+
+
 class TestUniformFit:
-    def test_equals_plain_fit_with_constant_weights(self):
+    @pytest.mark.parametrize("fits", [
+        _uniform_fits, _target_only_fits, _density_fits("kmm"),
+        _density_fits("kliep"), _tradaboost_fits,
+    ], ids=["uniform", "target_only", "kmm", "kliep", "tradaboost"])
+    def test_equals_plain_fit(self, fits):
+        # every plain fit is fit_network's fresh draw at the fit's seed,
+        # bit for bit
         train = make_train(seed=1)
+        held_out = make_train(m=0, n=12, seed=11)
+        validation = LabeledSample(held_out.X, held_out.y)
         arch = ArchSpec((8,), clip=1.0)
         config = FitConfig(epochs=15, batch_size=8, seed=5)
-        net, _ = uniform_fit(train, arch, config)
-        direct = arch.build(2, rng=np.random.default_rng(5))
-        fit_regression(direct, train.X, train.y,
-                       np.full(len(train), 1 / len(train)), config)
-        np.testing.assert_array_equal(forward(net, train.X),
-                                      forward(direct, train.X))
+        for got, X, y, w, fit in fits(train, arch, config, validation):
+            if not isinstance(got, np.ndarray):
+                got = forward(got, validation.X)
+            net, _ = fit_network(arch, X, y, w, fit)
+            np.testing.assert_array_equal(got, forward(net, validation.X))
 
     def test_deterministic_per_seed(self):
         train = make_train(seed=2)

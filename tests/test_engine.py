@@ -14,8 +14,8 @@ import pytest
 
 from wann.data import LabeledSample, TrainingSet, labeling_fn
 from wann.discrepancy import _ascend, _pool
-from wann.nn import (AdamState, ArchSpec, FitConfig, adam_step, build_mlp,
-                     fit_regression, forward, weighted_mse_grad)
+from wann.nn import (AdamState, ArchSpec, FitConfig, adam_step, fit_regression,
+                     forward, weighted_mse_grad)
 from wann.training import WannConfig, WannModel, build_wann_model, wann_step
 
 
@@ -125,8 +125,8 @@ def mixed_train(k, d, n_target, seed):
 def negative_q_model(d, seed, X):
     """h, h' and q drawn apart, q's output bias set so its linear output
     is negative on about half of the rows of X."""
-    nets = [build_mlp(d, (12, 8), clip=1.0,
-                      rng=np.random.default_rng(seed + k)) for k in range(3)]
+    nets = [ArchSpec((12, 8), clip=1.0).build(
+                d, rng=np.random.default_rng(seed + k)) for k in range(3)]
     q = nets[2]
     q.layers[-1].biases -= np.median(forward(q, X))
     return WannModel(*nets, *(AdamState.for_net(net) for net in nets),
@@ -173,7 +173,7 @@ def test_fit_regression_matches_reference(w_low, hidden, batch):
     rng = np.random.default_rng(7)
     X, y = rng.normal(size=(17, 4)), rng.normal(size=17)
     w = rng.uniform(w_low, 0.2, size=17)
-    net = build_mlp(4, hidden, clip=0.5, rng=np.random.default_rng(8))
+    net = ArchSpec(hidden, clip=0.5).build(4, rng=np.random.default_rng(8))
     ref = RefNet(net, lr=0.01)
     config = FitConfig(epochs=3, batch_size=batch, lr=0.01, seed=9)
     fit_regression(net, X, y, w, config)
@@ -194,7 +194,7 @@ def test_ascend_matches_reference(sign):
     src_x, tgt_x = rng.normal(size=(13, 3)), rng.normal(0.5, 1.0, size=(6, 3))
     src_y, tgt_y = labeling_fn(src_x), labeling_fn(tgt_x)
     src_w = np.full(13, 1.0 / 13)
-    net = build_mlp(3, (10, 6), clip=1.0, rng=np.random.default_rng(11))
+    net = ArchSpec((10, 6), clip=1.0).build(3, rng=np.random.default_rng(11))
     ref = RefNet(net, lr=0.01)
     _ascend(net, sign, _pool(src_x, src_y, src_w, LabeledSample(tgt_x, tgt_y)),
             FitConfig(epochs=3, batch_size=5, lr=0.01),
@@ -219,7 +219,7 @@ def test_ascend_matches_reference(sign):
 
 
 def test_eval_forward_matches_reference_and_is_caller_owned():
-    net = build_mlp(6, (9, 7), rng=np.random.default_rng(13))
+    net = ArchSpec((9, 7)).build(6, rng=np.random.default_rng(13))
     ref = RefNet(net)
     X = np.random.default_rng(14).normal(size=(40, 6))
     first = forward(net, X)
@@ -230,7 +230,7 @@ def test_eval_forward_matches_reference_and_is_caller_owned():
 
 class TestFlatStorage:
     def test_layer_arrays_are_views_of_params(self):
-        net = build_mlp(3, (5, 4), rng=np.random.default_rng(15))
+        net = ArchSpec((5, 4)).build(3, rng=np.random.default_rng(15))
         assert net.params.size == sum(l.weights.size + l.biases.size
                                       for l in net.layers)
         for layer in net.layers:
@@ -241,7 +241,7 @@ class TestFlatStorage:
                    for l in net.layers)
 
     def test_copy_is_independent(self):
-        net = build_mlp(3, (5,), clip=1.0, rng=np.random.default_rng(16))
+        net = ArchSpec((5,), clip=1.0).build(3, rng=np.random.default_rng(16))
         twin = net.copy()
         assert np.array_equal(twin.params, net.params)
         assert not np.shares_memory(twin.params, net.params)
@@ -258,7 +258,7 @@ class TestFlatStorage:
         assert np.array_equal(forward(net, X), out)
 
     def test_gradient_is_flat_and_owned_by_the_net(self):
-        net = build_mlp(3, (5,), rng=np.random.default_rng(18))
+        net = ArchSpec((5,)).build(3, rng=np.random.default_rng(18))
         X = np.ones((4, 3))
         loss = weighted_mse_grad(net, X, np.zeros(4), np.ones(4))
         assert type(loss) is float

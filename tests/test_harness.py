@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wann import baselines, harness, lanes, training
+from wann import baselines, harness, lanes, nn, training
 from wann.data import (LabeledSample, MixtureShiftSpec, TrainingSet,
                        gen_mixture_shift)
 from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig, MethodSpec,
@@ -104,24 +104,24 @@ class TestComparisonTable:
             RunResult("b", 1, final_mse=0.7, final_mae=0.35),
         ]
         table = build_comparison_table(results)
-        assert [row.method for row in table.rows] == ["b", "a"]
-        assert table.rows[0].rank == 1 and table.rows[1].rank == 2
-        assert table.rows[1].mean_mse == 2.0
-        assert table.rows[1].n_runs == 2
-        np.testing.assert_allclose(table.rows[1].std_mse, 1.0)
+        assert [row.method for row in table] == ["b", "a"]
+        assert table[0].rank == 1 and table[1].rank == 2
+        assert table[1].mean_mse == 2.0
+        assert table[1].n_runs == 2
+        np.testing.assert_allclose(table[1].std_mse, 1.0)
 
     def test_failed_method_ranked_last(self):
         results = [RunResult("good", 0, final_mse=1.0, final_mae=1.0),
                    RunResult("bad", 0, error="x")]
         table = build_comparison_table(results)
-        assert table.rows[0].method == "good"
-        assert table.rows[1].method == "bad"
-        assert table.rows[1].mean_mse is None
-        assert table.rows[0].rank == 1 and table.rows[1].rank is None
+        assert table[0].method == "good"
+        assert table[1].method == "bad"
+        assert table[1].mean_mse is None
+        assert table[0].rank == 1 and table[1].rank is None
         # a table of failures ranks nothing
         table = build_comparison_table([RunResult("a", 0, error="x"),
                                         RunResult("b", 0, error="y")])
-        assert [row.rank for row in table.rows] == [None, None]
+        assert [row.rank for row in table] == [None, None]
 
 
 class TestRunExperiment:
@@ -132,7 +132,7 @@ class TestRunExperiment:
             n_repeats=1, base_seed=2, out_dir=str(tmp_path / "exp"))
         results, table = run_experiment(config)
         assert len(results) == 1
-        assert len(table.rows) == 1
+        assert len(table) == 1
         assert (tmp_path / "exp" / "runs" / "uniform_2.txt").exists()
         assert (tmp_path / "exp" / "table.csv").exists()
 
@@ -294,8 +294,9 @@ class TestMethodSpec:
             raise AssertionError("training started")
 
         # every method trains through fit_regression first (wann in
-        # pretrain_weighter), after kmm and kliep solve for their weights
-        for module in (harness, baselines, training):
+        # pretrain_weighter, the others through nn.fit_network), after kmm
+        # and kliep solve for their weights
+        for module in (nn, training):
             monkeypatch.setattr(module, "fit_regression", refuse)
         monkeypatch.setattr(baselines, "kmm_weights", refuse)
         monkeypatch.setattr(baselines, "kliep_weights", refuse)
@@ -669,7 +670,7 @@ class TestPlotOutputs:
         reparsed = [parse_run_file(p) for p in sorted((out / "runs").glob("*"))]
         table_disk = build_comparison_table(reparsed)
         table_mem = build_comparison_table(results)
-        for a, b in zip(table_disk.rows, table_mem.rows):
+        for a, b in zip(table_disk, table_mem):
             assert a.method == b.method
             assert a.mean_mse == b.mean_mse
             assert a.std_mse == b.std_mse

@@ -10,13 +10,13 @@ from wann.discrepancy import estimate_y_discrepancy
 from wann.harness import ExperimentConfig, MethodConfigs
 from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
                      TrainingDivergedError, _backward, _forward_cache,
-                     adam_step, build_mlp, clip_weights, fit_regression,
+                     adam_step, clip_weights, fit_network, fit_regression,
                      forward, weighted_mse_grad)
 from wann.training import WannConfig, build_wann_model, wann_step
 
 
 def random_net(rng, n_in=3, hidden=(6, 4), clip=1.0):
-    return build_mlp(n_in, hidden, clip=clip, rng=rng)
+    return ArchSpec(hidden, clip=clip).build(n_in, rng=rng)
 
 
 def flatten_params(net):
@@ -249,7 +249,7 @@ class TestFitRegression:
         rng = np.random.default_rng(16)
         X = rng.uniform(-1, 1, size=(64, 1))
         y = 2.0 * X[:, 0]
-        net = build_mlp(1, (), clip=4.0, rng=np.random.default_rng(0))
+        net = ArchSpec((), clip=4.0).build(1, rng=np.random.default_rng(0))
         fit_regression(net, X, y, np.full(64, 1 / 64),
                        FitConfig(epochs=500, batch_size=16, lr=0.01, seed=1))
         err = forward(net, X) - y
@@ -273,7 +273,7 @@ class TestFitRegression:
         w = np.full(30, 1 / 30)
         runs = []
         for _ in range(2):
-            net = build_mlp(3, (5,), rng=np.random.default_rng(7))
+            net = ArchSpec((5,)).build(3, rng=np.random.default_rng(7))
             trace = fit_regression(net, X, y, w,
                                    FitConfig(epochs=10, batch_size=8, seed=3),
                                    validation=LabeledSample(X, y))
@@ -309,9 +309,9 @@ class TestFitRegression:
         assert err.value.epoch == 0
 
 
-class TestBuildMlp:
+class TestArchSpecBuild:
     def test_glorot_bounds_and_zero_biases(self):
-        net = build_mlp(10, (20,), rng=np.random.default_rng(20))
+        net = ArchSpec((20,)).build(10, rng=np.random.default_rng(20))
         limit0 = np.sqrt(6.0 / 30)
         assert np.abs(net.layers[0].weights).max() <= limit0
         assert np.all(net.layers[0].biases == 0.0)
@@ -323,7 +323,7 @@ class TestBuildMlp:
 
     def test_clipping_invariant_after_updates(self):
         rng = np.random.default_rng(21)
-        net = build_mlp(3, (6,), clip=0.05, rng=rng)
+        net = ArchSpec((6,), clip=0.05).build(3, rng=rng)
         state = AdamState.for_net(net, lr=0.1)
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
@@ -368,8 +368,9 @@ class TestCarriersRejectBadValues:
     ])
     @pytest.mark.parametrize("make", [
         ArchSpec,
-        lambda hidden, clip: build_mlp(3, hidden, clip=clip,
-                                       rng=np.random.default_rng(0)),
+        lambda hidden, clip: Mlp(
+            [DenseLayer(np.zeros((n_in, n_out)), np.zeros(n_out))
+             for n_in, n_out in zip((3, *hidden), (*hidden, 1))], clip=clip),
     ], ids=["ArchSpec", "Mlp"])
     def test_arch_spec_build(self, make, hidden, clip, message):
         # the class checks itself before any network is built; a network
@@ -416,9 +417,11 @@ class TestEngineKnobs:
         assert [f.name for f in dataclasses.fields(Mlp) if f.init] == [
             "layers", "clip"]
 
-    def test_build_mlp_parameters(self):
-        assert list(inspect.signature(build_mlp).parameters) == [
-            "n_inputs", "hidden", "clip", "rng"]
+    def test_arch_spec_build_parameters(self):
+        assert list(inspect.signature(ArchSpec.build).parameters) == [
+            "self", "n_inputs", "rng"]
+        assert list(inspect.signature(fit_network).parameters) == [
+            "arch", "X", "y", "w", "config", "validation"]
 
     def test_carrier_fields(self):
         # the network class and the schedule have one carrier each
