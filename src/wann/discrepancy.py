@@ -148,8 +148,9 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
 
     ``source_w`` are fixed nonnegative instance weights (a weighted
     empirical source distribution). ``arch`` is the hypothesis class
-    (default ``ArchSpec()``) and ``config`` the ascent schedule and seed
-    (default ``FitConfig(epochs=ASCENT_EPOCHS)``). Both adversaries
+    (default ``ArchSpec()``; an ``init_net`` brings its own, which a
+    given ``arch`` must equal) and ``config`` the ascent schedule and
+    seed (default ``FitConfig(epochs=ASCENT_EPOCHS)``). Both adversaries
     start from ``init_net`` when given, otherwise from fresh seeded
     members of ``arch``. The running best is evaluated before training
     and after every epoch, so a larger epoch budget never lowers the
@@ -176,12 +177,18 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     if len(target.X) == 0:
         raise ValueError("target sample is empty")
 
-    arch = arch or ArchSpec()
     config = config or FitConfig(epochs=ASCENT_EPOCHS)
     seed = config.seed
     if init_net is not None:
+        if arch is not None and arch != init_net.arch:
+            raise ValueError(f"arch {arch} differs from init_net.arch "
+                             f"{init_net.arch}")
+        if init_net.n_inputs != source_x.shape[1]:
+            raise ValueError(f"init_net takes {init_net.n_inputs} inputs, "
+                             f"source_x has {source_x.shape[1]} columns")
         net_pos, net_neg = init_net.copy(), init_net.copy()
     else:
+        arch = arch or ArchSpec()
         init_rng = np.random.default_rng(seed)
         net_pos = arch.build(source_x.shape[1], rng=init_rng)
         net_neg = arch.build(source_x.shape[1], rng=init_rng)

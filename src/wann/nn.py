@@ -7,16 +7,17 @@ float64 and deterministic given a seed; no autodiff framework involved.
 Every network has one shape: a relu after each layer but the last and a
 linear scalar output. A caller that needs a nonnegative output (the
 weighting network of ``wann.training``) applies its own relu to it.
-Every network is clipped: its parameters stay in [-clip, clip].
+Every network is a member of an ``ArchSpec``, its parameters clipped.
 
 Memory layout: an ``Mlp`` keeps every parameter in one contiguous
-vector, ``Mlp.params``, and each layer's ``weights`` and ``biases`` are
-views into it. The working memory of training belongs to the network
-(activation buffers that grow to the largest row count seen, and the
-flat gradient ``Mlp.grad``) or to its ``AdamState`` (flat moments and
-two scratch vectors). Once the buffers have grown, a training step
-allocates only a few per-row vectors, so the allocator does not hand
-large blocks back and forth with the operating system on every batch.
+vector, ``Mlp.params``, and its ``layers`` are read-only pairs of
+``weights`` and ``biases`` views into it. The working memory of
+training belongs to the network (activation buffers that grow to the
+largest row count seen, and the flat gradient ``Mlp.grad``) or to its
+``AdamState`` (flat moments and two scratch vectors). Once the buffers
+have grown, a training step allocates only a few per-row vectors, so
+the allocator does not hand large blocks back and forth with the
+operating system on every batch.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,130 +37,10 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
-def _pack(weights: list[np.ndarray], biases: list[np.ndarray]):
-    """Copy per-layer arrays into one flat vector, returning it and views.
-
-    Layer k's weights (row-major) come first, then its biases, then
-    layer k+1. Returns (flat, weight views, bias views).
-    """
-    flat = np.concatenate([np.ravel(a) for pair in zip(weights, biases)
-                           for a in pair], dtype=np.float64)
-    weight_views, bias_views = [], []
-    at = 0
-    for w, b in zip(weights, biases):
-        weight_views.append(flat[at:at + w.size].reshape(w.shape))
-        at += w.size
-        bias_views.append(flat[at:at + b.size].reshape(b.shape))
-        at += b.size
-    return flat, weight_views, bias_views
-
-
 def _require_positive(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is a finite number > 0."""
     if not (isinstance(value, Real) and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_arch(widths, clip) -> None:
-    """Raise ``ValueError`` for a layer width below 1 or a clip that is
-    not finite and positive."""
-    for k, width in enumerate(widths):
-        if width < 1:
-            raise ValueError(f"layer {k} has {width} units, needs at least 1")
-    _require_positive("clip", clip)
-
-
-@dataclass
-class DenseLayer:
-    """Fully connected layer: out = x @ weights + biases, followed by a
-    relu unless it is the last layer of its ``Mlp``.
-
-    Inside an ``Mlp`` the arrays are views into the network's flat
-    parameter vector: update them in place, never rebind them.
-    """
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self):
-        # own copies: layers are updated in place by the optimizer
-        self.weights = np.array(self.weights, dtype=np.float64)
-        self.biases = np.array(self.biases, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ValueError("layer weights must be a 2-D matrix")
-        if self.biases.shape != (self.weights.shape[1],):
-            raise ValueError(
-                f"bias shape {self.biases.shape} does not match "
-                f"{self.weights.shape[1]} output units"
-            )
-
-    @property
-    def n_inputs(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.weights.shape[1]
-
-
-@dataclass
-class Mlp:
-    """Feed-forward network with relu hidden layers and a linear scalar
-    output.
-
-    ``clip`` is the weight-clipping constant: after every optimizer step
-    all weights and biases are projected onto [-clip, clip]. Every
-    network is clipped.
-
-    The network takes over its layers' storage: ``params`` holds every
-    parameter, layer by layer, and the layers' arrays become views
-    into it. ``grad`` is the gradient, laid out like ``params``, which
-    every gradient computation on the network overwrites.
-    """
-
-    layers: list[DenseLayer]
-    clip: float
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-    grad: np.ndarray = field(init=False, repr=False, compare=False)
-    # per-layer views into ``grad`` that the backward pass writes
-    _d_weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    _d_biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
-    # grow-only per-layer output buffers; a pass on b rows uses the
-    # leading b rows of each
-    _activations: list[np.ndarray] = field(init=False, repr=False,
-                                           compare=False)
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValueError("network needs at least one layer")
-        if self.layers[-1].n_outputs != 1:
-            raise ValueError("only scalar-output networks are supported")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.n_outputs != nxt.n_inputs:
-                raise ValueError(
-                    f"layer dims incompatible: {prev.n_outputs} -> {nxt.n_inputs}"
-                )
-        _check_arch([layer.n_outputs for layer in self.layers], self.clip)
-        self.params, weights, biases = _pack(
-            [layer.weights for layer in self.layers],
-            [layer.biases for layer in self.layers])
-        for layer, w, b in zip(self.layers, weights, biases):
-            layer.weights, layer.biases = w, b
-        self.grad, self._d_weights, self._d_biases = _pack(
-            [np.zeros_like(w) for w in weights],
-            [np.zeros_like(b) for b in biases])
-        self._activations = [np.empty((0, layer.n_outputs))
-                             for layer in self.layers]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layers[0].n_inputs
-
-    def copy(self) -> "Mlp":
-        """Independent network with equal parameters and fresh buffers."""
-        # DenseLayer copies the arrays it is given
-        return Mlp([DenseLayer(layer.weights, layer.biases)
-                    for layer in self.layers], self.clip)
 
 
 @dataclass(frozen=True)
@@ -166,7 +48,8 @@ class ArchSpec:
     """Architecture class: hidden widths and clip constant.
 
     Made, it rejects a width below 1 and a clip that is not finite and
-    positive, before any network is built; ``Mlp`` checks the same.
+    positive, before any network is built; every network is a member of
+    an ``ArchSpec``, so no other place checks them.
     """
 
     hidden: tuple[int, ...] = (100, 100)
@@ -174,19 +57,83 @@ class ArchSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        _check_arch(self.hidden, self.clip)
+        for k, width in enumerate(self.hidden):
+            if width < 1:
+                raise ValueError(
+                    f"layer {k} has {width} units, needs at least 1")
+        _require_positive("clip", self.clip)
 
     def build(self, n_inputs: int, *, rng: np.random.Generator) -> "Mlp":
         """A member of the class on ``n_inputs`` features: weights
         Glorot-uniform from ``rng``, biases zero, and then clipped."""
         dims = [n_inputs, *self.hidden, 1]
-        layers = []
-        for k in range(len(dims) - 1):
-            fan_in, fan_out = dims[k], dims[k + 1]
+        parts = []
+        for fan_in, fan_out in zip(dims, dims[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weights = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-            layers.append(DenseLayer(weights, np.zeros(fan_out)))
-        return clip_weights(Mlp(layers, clip=self.clip))
+            parts += [rng.uniform(-limit, limit, size=fan_in * fan_out),
+                      np.zeros(fan_out)]
+        return clip_weights(Mlp(self, n_inputs, np.concatenate(parts)))
+
+
+class Layer(NamedTuple):
+    """Fully connected layer: out = x @ weights + biases, followed by a
+    relu unless it is the last layer of its ``Mlp``. The arrays are
+    views into the network's flat vector, updated in place."""
+
+    weights: np.ndarray
+    biases: np.ndarray
+
+
+def _layers(flat: np.ndarray, dims: list[int]) -> tuple[Layer, ...]:
+    """``flat`` seen as the layers of widths ``dims``: layer k's weights
+    (row-major), then its biases, then layer k+1."""
+    layers, at = [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights = flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out)
+        at += fan_in * fan_out
+        layers.append(Layer(weights, flat[at:at + fan_out]))
+        at += fan_out
+    return tuple(layers)
+
+
+@dataclass(eq=False)
+class Mlp:
+    """A member of the class ``arch`` on ``n_inputs`` features: relu
+    hidden layers and a linear scalar output.
+
+    ``params`` is the network's own copy of every parameter, layer by
+    layer, and ``layers`` are views into it. After every optimizer step
+    all of them are projected onto [-arch.clip, arch.clip]. ``grad`` is
+    the gradient, laid out like ``params``, which every gradient
+    computation on the network overwrites.
+    """
+
+    arch: ArchSpec
+    n_inputs: int
+    params: np.ndarray = field(repr=False)
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    # per-layer views into ``grad`` that the backward pass writes
+    _grads: tuple[Layer, ...] = field(init=False, repr=False)
+    # grow-only per-layer output buffers; a pass on b rows uses the
+    # leading b rows of each
+    _activations: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = [self.n_inputs, *self.arch.hidden, 1]
+        size = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+        self.params = np.array(self.params, dtype=np.float64)
+        if self.params.shape != (size,):
+            raise ValueError(f"params must be a vector of {size} values, "
+                             f"got shape {self.params.shape}")
+        self.layers = _layers(self.params, dims)
+        self.grad = np.zeros(size)
+        self._grads = _layers(self.grad, dims)
+        self._activations = [np.empty((0, width)) for width in dims[1:]]
+
+    def copy(self) -> "Mlp":
+        """Independent network with equal parameters and fresh buffers."""
+        return Mlp(self.arch, self.n_inputs, self.params)
 
 
 def _forward_cache(net: Mlp, X: np.ndarray):
@@ -208,13 +155,13 @@ def _forward_cache(net: Mlp, X: np.ndarray):
     last = len(net.layers) - 1
     caches = []
     a = X
-    for k, layer in enumerate(net.layers):
+    for k, (weights, biases) in enumerate(net.layers):
         buf = net._activations[k]
         if len(buf) < rows:
-            buf = net._activations[k] = np.empty((rows, layer.n_outputs))
+            buf = net._activations[k] = np.empty((rows, len(biases)))
         out = buf[:rows]
-        np.matmul(a, layer.weights, out=out)
-        out += layer.biases
+        np.matmul(a, weights, out=out)
+        out += biases
         if k < last:
             np.maximum(out, 0.0, out=out)
         caches.append((a, out))
@@ -236,8 +183,9 @@ def _backward(net: Mlp, caches, d_out: np.ndarray) -> None:
     last = len(net.layers) - 1
     for k in range(last, -1, -1):
         a_in = caches[k][0]
-        np.matmul(a_in.T, delta, out=net._d_weights[k])
-        np.sum(delta, axis=0, out=net._d_biases[k])
+        d_weights, d_biases = net._grads[k]
+        np.matmul(a_in.T, delta, out=d_weights)
+        np.sum(delta, axis=0, out=d_biases)
         if k > 0:
             pos = a_in > 0.0
             if k == last:
@@ -371,7 +319,7 @@ def adam_step(net: Mlp, state: AdamState) -> None:
 
 def clip_weights(net: Mlp) -> Mlp:
     """Project every weight and bias onto [-clip, clip], in place."""
-    np.clip(net.params, -net.clip, net.clip, out=net.params)
+    np.clip(net.params, -net.arch.clip, net.arch.clip, out=net.params)
     return net
 
 
@@ -452,3 +400,6 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged at epoch {epoch}")
         self.epoch = epoch
+
+    def __reduce__(self):
+        return type(self), (self.epoch,)

@@ -26,10 +26,12 @@ from wann.data import (MixtureShiftSpec, LabeledSample, TrainingSet,
                        labeling_fn)
 from wann.discrepancy import estimate_y_discrepancy
 from wann.harness import ExperimentConfig, MethodSpec, run_experiment
-from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
-                     fit_regression, forward, weighted_mse_grad)
+from wann.nn import (AdamState, ArchSpec, FitConfig, fit_regression, forward,
+                     weighted_mse_grad)
 from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
                            pretrain_weighter, training_weights, wann_step)
+
+from nets import hand_net
 
 PROTOCOL = dict(epochs=300, batch_size=128, hidden=(100, 100), clip=1.0)
 
@@ -116,8 +118,8 @@ def test_criterion_02_step_oracle():
     lr, eps, clip = 0.001, 1e-8, 1.0
 
     def lin(w, bias):
-        return Mlp([DenseLayer(np.asarray(w, float).reshape(-1, 1),
-                               np.array([float(bias)]))], clip=clip)
+        return hand_net([(np.asarray(w, float).reshape(-1, 1),
+                          np.array([float(bias)]))], clip=clip)
 
     model = WannModel(lin(a, b), lin(ap, bp), lin(u, c),
                       AdamState.for_net(lin(a, b), lr=lr),

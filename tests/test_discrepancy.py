@@ -214,6 +214,43 @@ class TestValidation:
             estimate_y_discrepancy(arrays["source_x"], arrays["source_y"],
                                    arrays["source_w"], target)
 
+    def test_init_net_class_is_the_default_arch(self, monkeypatch):
+        # without arch, the class is the init_net's own, not ArchSpec()
+        init_net = ArchSpec((4,)).build(3, rng=np.random.default_rng(0))
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(discrepancy.ArchSpec, "build", no_network)
+        config = FitConfig(2, 16, 0.01, seed=3)
+        implicit = estimate_y_discrepancy(*_shifted_draw(), config=config,
+                                          init_net=init_net)
+        explicit = estimate_y_discrepancy(*_shifted_draw(),
+                                          arch=ArchSpec((4,)), config=config,
+                                          init_net=init_net)
+        assert implicit == explicit
+
+    @pytest.mark.parametrize("arch,width,message", [
+        (ArchSpec((64, 64)), 3,
+         r"arch ArchSpec\(hidden=\(64, 64\), clip=1.0\) differs from "
+         r"init_net.arch ArchSpec\(hidden=\(4,\), clip=1.0\)"),
+        (ArchSpec((4,), clip=0.5), 3, r"clip=0.5\) differs from init_net"),
+        (None, 2, "init_net takes 2 inputs, source_x has 3 columns"),
+        (ArchSpec((4,)), 4, "init_net takes 4 inputs, source_x has 3 columns"),
+    ])
+    def test_init_net_outside_the_class_rejected_before_any_copy(
+            self, arch, width, message, monkeypatch):
+        # an arch that differs from init_net's was once ignored in silence
+        def no_copy(net):
+            raise AssertionError("a network was copied")
+
+        monkeypatch.setattr(discrepancy.Mlp, "copy", no_copy)
+        init_net = ArchSpec((4,)).build(width, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            estimate_y_discrepancy(*_shifted_draw(), arch=arch,
+                                   config=FitConfig(2, 16, seed=3),
+                                   init_net=init_net)
+
 
 # 40 source and 15 target rows at batch 16: 4 ascent steps per epoch
 STEPS_PER_EPOCH = 4

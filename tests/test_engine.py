@@ -26,7 +26,7 @@ class RefNet:
     def __init__(self, net, lr=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.weights = [layer.weights.copy() for layer in net.layers]
         self.biases = [layer.biases.copy() for layer in net.layers]
-        self.clip = net.clip
+        self.clip = net.arch.clip
         self.m_w = [np.zeros_like(w) for w in self.weights]
         self.v_w = [np.zeros_like(w) for w in self.weights]
         self.m_b = [np.zeros_like(b) for b in self.biases]
@@ -128,7 +128,7 @@ def negative_q_model(d, seed, X):
     nets = [ArchSpec((12, 8), clip=1.0).build(
                 d, rng=np.random.default_rng(seed + k)) for k in range(3)]
     q = nets[2]
-    q.layers[-1].biases -= np.median(forward(q, X))
+    q.layers[-1].biases[...] -= np.median(forward(q, X))
     return WannModel(*nets, *(AdamState.for_net(net) for net in nets),
                      weight_scale=0.05)
 

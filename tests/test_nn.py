@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from wann.baselines import KliepConfig, KmmConfig, TradaboostConfig
 from wann.data import LabeledSample, MixtureShiftSpec
 from wann.discrepancy import estimate_y_discrepancy
 from wann.harness import ExperimentConfig, MethodConfigs
-from wann.nn import (AdamState, ArchSpec, DenseLayer, FitConfig, Mlp,
+from wann.nn import (AdamState, ArchSpec, FitConfig, Mlp,
                      TrainingDivergedError, _backward, _forward_cache,
                      adam_step, clip_weights, fit_network, fit_regression,
                      forward, weighted_mse_grad)
 from wann.training import WannConfig, build_wann_model, wann_step
+
+from nets import hand_net
 
 
 def random_net(rng, n_in=3, hidden=(6, 4), clip=1.0):
@@ -38,15 +41,14 @@ def flatten_grads(net):
 
 class TestForward:
     def test_single_layer_linear_map(self):
-        net = Mlp([DenseLayer(np.array([[1.0], [1.0]]), np.zeros(1))],
-                  clip=1.0)
+        net = hand_net([(np.array([[1.0], [1.0]]), np.zeros(1))], clip=1.0)
         out = forward(net, np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(out, [3.0])
 
     def test_zero_net_output_is_zero(self):
-        layers = [DenseLayer(np.zeros((3, 4)), np.zeros(4)),
-                  DenseLayer(np.zeros((4, 1)), np.zeros(1))]
-        net = Mlp(layers, clip=1.0)
+        layers = [(np.zeros((3, 4)), np.zeros(4)),
+                  (np.zeros((4, 1)), np.zeros(1))]
+        net = hand_net(layers, clip=1.0)
         out = forward(net, np.ones((5, 3)))
         np.testing.assert_array_equal(out, np.zeros(5))
 
@@ -56,7 +58,7 @@ class TestForward:
         b1 = np.array([0.1, -0.2])
         w2 = np.array([[1.5], [-0.5]])
         b2 = np.array([0.3])
-        net = Mlp([DenseLayer(w1, b1), DenseLayer(w2, b2)], clip=2.0)
+        net = hand_net([(w1, b1), (w2, b2)], clip=2.0)
         X = np.array([[1.0, 2.0], [-0.5, 0.25]])
         hidden = np.maximum(X @ w1 + b1, 0.0)
         expected = (hidden @ w2 + b2)[:, 0]
@@ -68,7 +70,7 @@ class TestForward:
         net = random_net(rng)
         X = rng.normal(size=(20, 3))
         # centre the output so that a relu on it would show
-        net.layers[-1].biases -= np.median(forward(net, X))
+        net.layers[-1].biases[...] -= np.median(forward(net, X))
         a = X
         for layer in net.layers[:-1]:
             a = np.maximum(a @ layer.weights + layer.biases, 0.0)
@@ -85,7 +87,7 @@ class TestForward:
 
 class TestWeightedMseGrad:
     def test_perfect_fit_zero_loss_zero_grads(self):
-        net = Mlp([DenseLayer(np.array([[2.0]]), np.zeros(1))], clip=2.0)
+        net = hand_net([(np.array([[2.0]]), np.zeros(1))], clip=2.0)
         X = np.array([[1.0], [2.0], [-3.0]])
         y = 2.0 * X[:, 0]
         loss = weighted_mse_grad(net, X, y, np.full(3, 0.5))
@@ -191,7 +193,7 @@ class TestAdamStep:
         assert state.step_count == 1
 
     def test_single_scalar_first_step(self):
-        net = Mlp([DenseLayer(np.array([[0.0]]), np.zeros(1))], clip=1.0)
+        net = hand_net([(np.array([[0.0]]), np.zeros(1))], clip=1.0)
         state = AdamState.for_net(net, lr=0.001)
         net.grad[:] = [1.0, 0.0]  # d/dweight, d/dbias
         adam_step(net, state)
@@ -201,7 +203,7 @@ class TestAdamStep:
                                    rtol=1e-12)
 
     def test_update_clipped_at_boundary(self):
-        net = Mlp([DenseLayer(np.array([[0.499]]), np.zeros(1))], clip=0.5)
+        net = hand_net([(np.array([[0.499]]), np.zeros(1))], clip=0.5)
         state = AdamState.for_net(net, lr=0.2)
         net.grad[:] = [-1.0, 0.0]
         adam_step(net, state)  # would land near 0.699 without clip
@@ -225,7 +227,7 @@ class TestClipWeights:
         np.testing.assert_array_equal(flatten_params(net), before)
 
     def test_outside_value_projected(self):
-        net = Mlp([DenseLayer(np.array([[2.0]]), np.array([-3.0]))], clip=1.0)
+        net = hand_net([(np.array([[2.0]]), np.array([-3.0]))], clip=1.0)
         clip_weights(net)
         assert net.layers[0].weights[0, 0] == 1.0
         assert net.layers[0].biases[0] == -1.0
@@ -235,8 +237,8 @@ class TestClipWeights:
         for _ in range(5):
             net = random_net(rng, clip=0.1)
             for layer in net.layers:
-                layer.weights += rng.normal(scale=0.5,
-                                            size=layer.weights.shape)
+                layer.weights[...] += rng.normal(scale=0.5,
+                                                 size=layer.weights.shape)
             clip_weights(net)
             once = flatten_params(net).copy()
             clip_weights(net)
@@ -288,13 +290,20 @@ class TestFitRegression:
                            FitConfig())
 
     def test_divergence_guard_raises_with_epoch(self):
-        net = Mlp([DenseLayer(np.array([[1.0]]), np.zeros(1))], clip=1.0)
+        net = hand_net([(np.array([[1.0]]), np.zeros(1))], clip=1.0)
         X = np.array([[1.0], [2.0]])
         y = np.array([np.inf, 0.0])
         with pytest.raises(TrainingDivergedError) as err:
             fit_regression(net, X, y, np.ones(2),
                            FitConfig(epochs=3, batch_size=2, seed=0))
         assert err.value.epoch == 0
+
+    def test_divergence_error_survives_pickling(self):
+        # a pipe or process pool sends an error as its pickle
+        error = pickle.loads(pickle.dumps(TrainingDivergedError(3)))
+        assert type(error) is TrainingDivergedError
+        assert str(error) == "training diverged at epoch 3"
+        assert error.epoch == 3
 
     def test_non_finite_validation_mse_raises_with_epoch(self):
         # finite labels whose squared errors overflow to inf
@@ -316,10 +325,62 @@ class TestArchSpecBuild:
         assert np.abs(net.layers[0].weights).max() <= limit0
         assert np.all(net.layers[0].biases == 0.0)
 
-    def test_incompatible_layers_rejected(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            Mlp([DenseLayer(np.zeros((2, 3)), np.zeros(3)),
-                 DenseLayer(np.zeros((4, 1)), np.zeros(1))], clip=1.0)
+    @pytest.mark.parametrize("hidden,n_inputs,seed,clip", [
+        ((), 1, 0, 1.0), ((2,), 1, 1, 1.0), ((5, 3), 4, 2, 0.3),
+        ((100, 100), 64, 3, 1.0)])
+    def test_params_are_the_per_layer_draw(self, hidden, n_inputs, seed,
+                                           clip):
+        # each layer's Glorot matrix from one stream, then its zero
+        # biases, layer by layer, then clipped: a change in draw order
+        # moves the bits
+        rng = np.random.default_rng(seed)
+        parts = []
+        dims = [n_inputs, *hidden, 1]
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            parts += [rng.uniform(-limit, limit, size=(fan_in, fan_out)),
+                      np.zeros(fan_out)]
+        want = np.clip(np.concatenate([np.ravel(p) for p in parts]),
+                       -clip, clip)
+        net = ArchSpec(hidden, clip).build(
+            n_inputs, rng=np.random.default_rng(seed))
+        assert net.params.tobytes() == want.tobytes()
+
+    def test_wrong_size_params_rejected(self):
+        arch = ArchSpec((3,))  # 2 * 3 + 3 + 3 * 1 + 1 = 13 parameters
+        for size in (0, 12, 14):
+            with pytest.raises(ValueError, match="vector of 13 values"):
+                Mlp(arch, 2, np.zeros(size))
+        with pytest.raises(ValueError, match="vector of 13 values"):
+            Mlp(arch, 2, np.zeros((13, 1)))
+        assert Mlp(arch, 2, np.zeros(13)).params.shape == (13,)
+
+    def test_layers_cannot_be_rebound(self):
+        net = ArchSpec((4, 3)).build(2, rng=np.random.default_rng(23))
+        for k, layer in enumerate(net.layers):
+            with pytest.raises(AttributeError):
+                net.layers[k].weights = np.zeros_like(layer.weights)
+            with pytest.raises(AttributeError):
+                layer.biases = np.zeros_like(layer.biases)
+            with pytest.raises(TypeError):
+                net.layers[k] = layer
+            assert np.shares_memory(net.layers[k].weights, net.params)
+
+    def test_params_are_the_nets_own_copy(self):
+        arch = ArchSpec((3,))
+        values = np.arange(13.0)
+        net = Mlp(arch, 2, values)
+        values[:] = 0.0
+        assert net.params.tolist() == list(range(13))
+        assert net.layers[0].weights.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert net.layers[1].biases.tolist() == [12]
+
+    def test_nets_compare_by_identity(self):
+        net = ArchSpec((3,)).build(2, rng=np.random.default_rng(24))
+        twin = net.copy()
+        assert net == net
+        assert (net == twin) is False
+        assert twin.arch == net.arch and twin.n_inputs == net.n_inputs
 
     def test_clipping_invariant_after_updates(self):
         rng = np.random.default_rng(21)
@@ -336,13 +397,14 @@ class TestArchSpecBuild:
     def test_arch_spec_builds_equivalent_net(self):
         spec = ArchSpec(hidden=(8, 4), clip=0.7)
         net = spec.build(5, rng=np.random.default_rng(22))
-        assert [l.n_outputs for l in net.layers] == [8, 4, 1]
-        assert net.clip == 0.7
+        assert [len(l.biases) for l in net.layers] == [8, 4, 1]
+        assert net.arch.clip == 0.7
 
 
 class TestCarriersRejectBadValues:
-    """The configurations and ``Mlp`` check the schedule and the network
-    class when they are made; no trainer checks them again."""
+    """The configurations and ``ArchSpec`` check the schedule and the
+    network class when they are made; no trainer or network checks them
+    again."""
 
     @pytest.mark.parametrize("field,value,message", [
         ("epochs", -3, "epochs must be >= 0, got -3"),
@@ -366,17 +428,10 @@ class TestCarriersRejectBadValues:
         ((4,), float("inf"), "clip must be finite and positive, got inf"),
         ((4,), None, "clip must be finite and positive, got None"),
     ])
-    @pytest.mark.parametrize("make", [
-        ArchSpec,
-        lambda hidden, clip: Mlp(
-            [DenseLayer(np.zeros((n_in, n_out)), np.zeros(n_out))
-             for n_in, n_out in zip((3, *hidden), (*hidden, 1))], clip=clip),
-    ], ids=["ArchSpec", "Mlp"])
-    def test_arch_spec_build(self, make, hidden, clip, message):
-        # the class checks itself before any network is built; a network
-        # built by hand checks the same
+    def test_arch_spec_build(self, hidden, clip, message):
+        # the class checks itself before any network is built
         with pytest.raises(ValueError, match=message):
-            make(hidden, clip)
+            ArchSpec(hidden, clip)
 
     @pytest.mark.parametrize("carrier,kwargs,field,value", [
         *[(carrier, {"epochs": 2, "batch_size": 4}, field, value)
@@ -400,22 +455,18 @@ class TestCarriersRejectBadValues:
             setattr(config, field, value)
         assert getattr(config, field) == before
 
-    def test_clip_is_required(self):
-        with pytest.raises(TypeError, match="clip"):
-            Mlp([DenseLayer(np.ones((2, 1)), np.zeros(1))])
+    def test_arch_and_params_are_required(self):
+        with pytest.raises(TypeError, match="'arch' and 'params'"):
+            Mlp(n_inputs=2)
 
 
 class TestEngineKnobs:
     """The engine's settable fields and parameters, pinned: a knob cannot
     come back without an edit here."""
 
-    def test_dense_layer_fields(self):
-        assert [f.name for f in dataclasses.fields(DenseLayer)] == [
-            "weights", "biases"]
-
     def test_mlp_init_fields(self):
         assert [f.name for f in dataclasses.fields(Mlp) if f.init] == [
-            "layers", "clip"]
+            "arch", "n_inputs", "params"]
 
     def test_arch_spec_build_parameters(self):
         assert list(inspect.signature(ArchSpec.build).parameters) == [

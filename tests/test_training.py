@@ -6,11 +6,13 @@ from hypothesis import example, given, strategies as st
 
 from wann import training
 from wann.data import TrainingSet, LabeledSample, labeling_fn
-from wann.nn import (AdamState, ArchSpec, DenseLayer, Mlp,
-                     TrainingDivergedError, _forward_cache, forward)
+from wann.nn import (AdamState, ArchSpec, TrainingDivergedError,
+                     _forward_cache, forward)
 from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
                            predict, pretrain_weighter, training_weights,
                            wann_step)
+
+from nets import hand_net
 
 
 def small_train(k=60, d=3, n_target=15, seed=0):
@@ -23,7 +25,7 @@ def small_train(k=60, d=3, n_target=15, seed=0):
 
 def linear_net(weights, bias, clip=1.0):
     w = np.asarray(weights, dtype=float).reshape(-1, 1)
-    return Mlp([DenseLayer(w, np.array([float(bias)]))], clip=clip)
+    return hand_net([(w, np.array([float(bias)]))], clip=clip)
 
 
 def params_of(net):
@@ -60,7 +62,7 @@ class TestBuildModel:
         model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=2))
         model.weight_scale = 0.5
         q = model.weighter
-        q.layers[-1].biases -= np.median(forward(q, train.X))
+        q.layers[-1].biases[...] -= np.median(forward(q, train.X))
         q_out = forward(q, train.X)
         negative = q_out < 0.0
         assert negative.sum() >= 10 and (q_out > 0.0).sum() >= 10
@@ -73,7 +75,7 @@ class TestBuildModel:
 
     def test_weighter_clip_defaults_to_task_clip(self):
         model = build_wann_model(4, ArchSpec((8,), 0.7), WannConfig(seed=3))
-        assert model.weighter.clip == 0.7
+        assert model.weighter.arch.clip == 0.7
 
 
 class TestPretrainWeighter:
@@ -105,7 +107,7 @@ class TestPretrainWeighter:
         assert model.weighter is q and len(q.layers) == len(layers)
         assert all(a is b for a, b in zip(q.layers, layers))
         assert [(l.weights.shape, l.biases.shape) for l in q.layers] == shapes
-        assert q.clip == 0.7
+        assert q.arch.clip == 0.7
         for layer in q.layers:
             assert np.shares_memory(layer.weights, q.params)
             assert np.shares_memory(layer.biases, q.params)
@@ -302,10 +304,11 @@ class TestWannStep:
         model = build_wann_model(3, ArchSpec((6, 5)), WannConfig(seed=30))
         model.weight_scale = 1.0 / len(train)
         q = model.weighter
-        q.layers[-1].biases -= np.median(forward(q, X))
+        q.layers[-1].biases[...] -= np.median(forward(q, X))
         assert (forward(q, X) < 0.0).sum() >= 4
+        # h' apart from h, so the factors differ
         for layer in model.adversary.layers:
-            layer.weights *= 0.5  # h' apart from h, so the factors differ
+            layer.weights[...] *= 0.5
         sq_h = (forward(model.task, X) - y) ** 2
         sq_hp = (forward(model.adversary, X) - y) ** 2
         probe = q.copy()
@@ -475,5 +478,5 @@ class TestPredict:
         base = predict(model, train.X)
         np.testing.assert_array_equal(base, forward(model.task, train.X))
         for layer in model.weighter.layers:
-            layer.weights += 1.0
+            layer.weights[...] += 1.0
         np.testing.assert_array_equal(predict(model, train.X), base)
