@@ -66,13 +66,12 @@ class ArchSpec:
     def build(self, n_inputs: int, *, rng: np.random.Generator) -> "Mlp":
         """A member of the class on ``n_inputs`` features: weights
         Glorot-uniform from ``rng``, biases zero, and then clipped."""
-        dims = [n_inputs, *self.hidden, 1]
-        parts = []
-        for fan_in, fan_out in zip(dims, dims[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            parts += [rng.uniform(-limit, limit, size=fan_in * fan_out),
-                      np.zeros(fan_out)]
-        return clip_weights(Mlp(self, n_inputs, np.concatenate(parts)))
+        net = Mlp(self, n_inputs, np.zeros(_size([n_inputs, *self.hidden, 1])))
+        for layer in net.layers:
+            limit = np.sqrt(6.0 / sum(layer.weights.shape))
+            layer.weights[...] = rng.uniform(-limit, limit,
+                                             size=layer.weights.shape)
+        return clip_weights(net)
 
 
 class Layer(NamedTuple):
@@ -82,6 +81,11 @@ class Layer(NamedTuple):
 
     weights: np.ndarray
     biases: np.ndarray
+
+
+def _size(dims: list[int]) -> int:
+    """Parameter count of the layers of widths ``dims``."""
+    return sum((a + 1) * b for a, b in zip(dims, dims[1:]))
 
 
 def _layers(flat: np.ndarray, dims: list[int]) -> tuple[Layer, ...]:
@@ -120,8 +124,10 @@ class Mlp:
     _activations: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n_inputs < 1:
+            raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
         dims = [self.n_inputs, *self.arch.hidden, 1]
-        size = sum((a + 1) * b for a, b in zip(dims, dims[1:]))
+        size = _size(dims)
         self.params = np.array(self.params, dtype=np.float64)
         if self.params.shape != (size,):
             raise ValueError(f"params must be a vector of {size} values, "

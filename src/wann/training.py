@@ -50,10 +50,10 @@ class WannConfig(FitConfig):
 class WannModel:
     """Task network h, adversary h' and weighting network q.
 
-    h, h' and q share one architecture class and clipping constant, and
-    all three are plain ``Mlp``s with a linear output. This module puts
-    a relu on q's output wherever it reads weights from q, so the
-    weights are nonnegative.
+    h, h' and q are plain ``Mlp``s of one ``ArchSpec``, with a linear
+    output; the model holds no optimizer state, which ``fit_wann``
+    makes. This module puts a relu on q's output wherever it reads
+    weights from q, so the weights are nonnegative.
 
     The weighting network emits relative weights; the instance weight
     is the relu of its output times ``weight_scale``. Pretraining sets
@@ -65,9 +65,6 @@ class WannModel:
     task: Mlp
     adversary: Mlp
     weighter: Mlp
-    opt_task: AdamState
-    opt_adversary: AdamState
-    opt_weighter: AdamState
     weight_scale: float = 1.0
 
     def __post_init__(self):
@@ -83,12 +80,11 @@ def build_wann_model(n_inputs: int, arch: ArchSpec | None = None,
     """Create a fresh model: h, h' and q in the class ``arch``.
 
     h and q are drawn sequentially from one generator stream seeded
-    with ``config.seed``; the optimizers take ``config.lr``. Defaults:
-    ``ArchSpec()`` and ``WannConfig()``.
+    with ``config.seed``, the only field read. Defaults: ``ArchSpec()``
+    and ``WannConfig()``.
     """
     arch = arch or ArchSpec()
-    config = config or WannConfig()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng((config or WannConfig()).seed)
     task = arch.build(n_inputs, rng=rng)
     # The adversary starts at the task's parameters: their loss
     # difference, which drives the weighter, is then exactly zero at
@@ -96,10 +92,7 @@ def build_wann_model(n_inputs: int, arch: ArchSpec | None = None,
     # random starts instead hand the weighter several full-size steps
     # of pure initialization luck, enough to saturate its relu output.
     adversary = task.copy()
-    weighter = arch.build(n_inputs, rng=rng)
-    nets = (task, adversary, weighter)
-    return WannModel(*nets, *(AdamState.for_net(net, lr=config.lr)
-                              for net in nets))
+    return WannModel(task, adversary, arch.build(n_inputs, rng=rng))
 
 
 def _require_both_domains(train: TrainingSet) -> None:
@@ -142,16 +135,16 @@ class StepDiagnostics:
         return self.l_q_h + self.l_tgt_hp - self.l_q_hp
 
 
-def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
-              is_target: np.ndarray, total_rows: int, epoch: int = 0
-              ) -> StepDiagnostics:
+def wann_step(model: WannModel, opt: tuple[AdamState, ...], X: np.ndarray,
+              y: np.ndarray, is_target: np.ndarray, total_rows: int,
+              epoch: int = 0) -> StepDiagnostics:
     """One gradient descent-ascent step on a batch.
 
     All three gradients are taken at the same parameter snapshot, then
-    the updates are applied adversary -> task -> weighter, each
-    followed by clipping. Batches without target rows contribute zero
-    to the target-risk term; the weighted sums run over every row, so
-    a batch of target rows only is a valid step too.
+    ``opt``, the Adam states of h, h' and q, updates adversary -> task
+    -> weighter, each followed by clipping. Batches without target rows
+    contribute zero to the target-risk term; the weighted sums run over
+    every row, so a batch of target rows only is a valid step too.
 
     ``total_rows`` is the size of the full training set the batch was
     drawn from. The weighted sums over a batch understate the full-set
@@ -194,9 +187,10 @@ def wann_step(model: WannModel, X: np.ndarray, y: np.ndarray,
     factors = model.weight_scale * scale * (sq_h - sq_hp)
     _backward(model.weighter, cache_q, factors * (g > 0.0))
 
-    adam_step(model.adversary, model.opt_adversary)
-    adam_step(model.task, model.opt_task)
-    adam_step(model.weighter, model.opt_weighter)
+    opt_h, opt_hp, opt_q = opt
+    adam_step(model.adversary, opt_hp)
+    adam_step(model.task, opt_h)
+    adam_step(model.weighter, opt_q)
     return StepDiagnostics(l_q_h, l_tgt_hp, l_q_hp)
 
 
@@ -204,22 +198,27 @@ def fit_wann(model: WannModel, train: TrainingSet, config: WannConfig,
              validation: LabeledSample | None = None) -> FitTrace:
     """Run the full adversarial schedule over seeded shuffled batches.
 
-    The model must have been pretrained (see ``pretrain_weighter``).
-    When a validation sample is given, the returned trace holds h's
-    validation MSE after each epoch and h's predictions after the last;
-    a validation MSE that is not finite raises ``TrainingDivergedError``
-    with its epoch. A batch size above the number of rows makes one full
-    batch, as in ``fit_regression``. Deterministic per seed; mutates the
-    model.
+    Raises ``ValueError`` before any step unless the model was pretrained
+    on ``train`` (see ``pretrain_weighter``). Each call starts Adam afresh
+    for h, h' and q at ``config.lr``. When a validation sample is given,
+    the returned trace holds h's validation MSE after each epoch and h's
+    predictions after the last; a validation MSE that is not finite
+    raises ``TrainingDivergedError`` with its epoch. A batch size above
+    the number of rows makes one full batch, as in ``fit_regression``.
+    Deterministic per seed; mutates the model.
     """
     _require_both_domains(train)
+    if model.weight_scale != 1.0 / len(train):
+        raise ValueError("not pretrained on this set; run pretrain_weighter")
+    opt = tuple(AdamState.for_net(net, lr=config.lr)
+                for net in (model.task, model.adversary, model.weighter))
     rng = np.random.default_rng(config.seed)
     trace = FitTrace()
     for epoch in range(config.epochs):
         order = rng.permutation(len(train))
         for start in range(0, len(train), config.batch_size):
             idx = order[start:start + config.batch_size]
-            wann_step(model, train.X[idx], train.y[idx],
+            wann_step(model, opt, train.X[idx], train.y[idx],
                       train.is_target[idx], len(train), epoch)
         if validation is not None:
             trace.record(model.task, validation, epoch)

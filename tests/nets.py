@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from wann.nn import ArchSpec, Mlp
+from wann.nn import AdamState, ArchSpec, FitConfig, Mlp
 
 
 def hand_net(layers, clip):
@@ -13,3 +13,10 @@ def hand_net(layers, clip):
     return Mlp(arch, weights[0].shape[0],
                np.concatenate([np.append(w, b) for (_, b), w
                                in zip(layers, weights)]))
+
+
+def adam_states(model, lr=FitConfig.lr):
+    """Fresh Adam states of a model's h, h' and q, in ``wann_step``'s
+    order, as ``fit_wann`` makes them."""
+    return tuple(AdamState.for_net(net, lr=lr)
+                 for net in (model.task, model.adversary, model.weighter))

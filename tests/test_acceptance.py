@@ -26,12 +26,12 @@ from wann.data import (MixtureShiftSpec, LabeledSample, TrainingSet,
                        labeling_fn)
 from wann.discrepancy import estimate_y_discrepancy
 from wann.harness import ExperimentConfig, MethodSpec, run_experiment
-from wann.nn import (AdamState, ArchSpec, FitConfig, fit_regression, forward,
+from wann.nn import (ArchSpec, FitConfig, fit_regression, forward,
                      weighted_mse_grad)
 from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
                            pretrain_weighter, training_weights, wann_step)
 
-from nets import hand_net
+from nets import adam_states, hand_net
 
 PROTOCOL = dict(epochs=300, batch_size=128, hidden=(100, 100), clip=1.0)
 
@@ -121,11 +121,8 @@ def test_criterion_02_step_oracle():
         return hand_net([(np.asarray(w, float).reshape(-1, 1),
                           np.array([float(bias)]))], clip=clip)
 
-    model = WannModel(lin(a, b), lin(ap, bp), lin(u, c),
-                      AdamState.for_net(lin(a, b), lr=lr),
-                      AdamState.for_net(lin(ap, bp), lr=lr),
-                      AdamState.for_net(lin(u, c), lr=lr))
-    diag = wann_step(model, X, y, flags, len(X))
+    model = WannModel(lin(a, b), lin(ap, bp), lin(u, c))
+    diag = wann_step(model, adam_states(model, lr), X, y, flags, len(X))
 
     q = X @ u + c
     e_h = X @ a + b - y

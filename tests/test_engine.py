@@ -18,6 +18,8 @@ from wann.nn import (AdamState, ArchSpec, FitConfig, adam_step, fit_regression,
                      forward, weighted_mse_grad)
 from wann.training import WannConfig, WannModel, build_wann_model, wann_step
 
+from nets import adam_states
+
 
 class RefNet:
     """Per-layer copy of an Mlp with the per-layer engine and Adam: relu
@@ -129,8 +131,7 @@ def negative_q_model(d, seed, X):
                 d, rng=np.random.default_rng(seed + k)) for k in range(3)]
     q = nets[2]
     q.layers[-1].biases[...] -= np.median(forward(q, X))
-    return WannModel(*nets, *(AdamState.for_net(net) for net in nets),
-                     weight_scale=0.05)
+    return WannModel(*nets, weight_scale=0.05)
 
 
 MODELS = {
@@ -156,9 +157,11 @@ def test_wann_steps_match_reference(kind):
     order = np.random.default_rng(6).permutation(k)
     # full batches, a ragged last batch of 7 and a single row, twice over
     batches = [order[s:s + batch] for s in range(0, k, batch)] + [order[:1]]
+    # one set of Adam states carried across both passes, as in fit_wann
+    opt = adam_states(model)
     for idx in batches * 2:
         args = (train.X[idx], train.y[idx], train.is_target[idx])
-        wann_step(model, *args, total_rows=k)
+        wann_step(model, opt, *args, total_rows=k)
         ref_wann_step(*refs, model.weight_scale, *args, k)
     for net, ref, start in zip(nets, refs, starts):
         assert not np.array_equal(net.params, start)
@@ -298,9 +301,10 @@ def test_steady_state_step_and_eval_allocate_little(dim):
     X, y = rng.normal(size=(128, dim)), rng.normal(size=128)
     is_target = rng.random(128) < 0.2
     X_eval = rng.normal(size=(1000, dim))
+    opt = adam_states(model)
 
     def step():
-        wann_step(model, X, y, is_target, total_rows=1000)
+        wann_step(model, opt, X, y, is_target, total_rows=1000)
 
     for _ in range(2):
         step()

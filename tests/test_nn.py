@@ -13,7 +13,7 @@ from wann.nn import (AdamState, ArchSpec, FitConfig, Mlp,
                      TrainingDivergedError, _backward, _forward_cache,
                      adam_step, clip_weights, fit_network, fit_regression,
                      forward, weighted_mse_grad)
-from wann.training import WannConfig, build_wann_model, wann_step
+from wann.training import WannConfig, WannModel, build_wann_model, wann_step
 
 from nets import hand_net
 
@@ -355,6 +355,17 @@ class TestArchSpecBuild:
             Mlp(arch, 2, np.zeros((13, 1)))
         assert Mlp(arch, 2, np.zeros(13)).params.shape == (13,)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Mlp(ArchSpec((3,)), -1, np.zeros(4)),
+        lambda: Mlp(ArchSpec((3,)), 0, np.zeros(4)),
+        lambda: ArchSpec((3,)).build(0, rng=np.random.default_rng(0)),
+        lambda: ArchSpec(()).build(-1, rng=np.random.default_rng(0)),
+    ], ids=["minus-one", "zero", "build-zero", "build-minus-one"])
+    def test_no_inputs_rejected(self, make):
+        # a net on no features would map every row to its bias
+        with pytest.raises(ValueError, match="n_inputs must be >= 1"):
+            make()
+
     def test_layers_cannot_be_rebound(self):
         net = ArchSpec((4, 3)).build(2, rng=np.random.default_rng(23))
         for k, layer in enumerate(net.layers):
@@ -483,12 +494,16 @@ class TestEngineKnobs:
         assert fields(FitConfig) == ["epochs", "batch_size", "lr", "seed"]
         assert fields(WannConfig) == ["epochs", "batch_size", "lr", "seed",
                                       "pretrain_epochs"]
+        # the optimizer state is each fit's own, not the model's
+        assert fields(WannModel) == ["task", "adversary", "weighter",
+                                     "weight_scale"]
 
     @pytest.mark.parametrize("fn,names", [
         (build_wann_model, ["n_inputs", "arch", "config"]),
         (estimate_y_discrepancy, ["source_x", "source_y", "source_w",
                                   "target", "arch", "config", "init_net"]),
-        (wann_step, ["model", "X", "y", "is_target", "total_rows", "epoch"]),
+        (wann_step, ["model", "opt", "X", "y", "is_target", "total_rows",
+                     "epoch"]),
     ])
     def test_trainer_parameters(self, fn, names):
         assert list(inspect.signature(fn).parameters) == names

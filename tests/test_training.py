@@ -6,13 +6,12 @@ from hypothesis import example, given, strategies as st
 
 from wann import training
 from wann.data import TrainingSet, LabeledSample, labeling_fn
-from wann.nn import (AdamState, ArchSpec, TrainingDivergedError,
-                     _forward_cache, forward)
+from wann.nn import ArchSpec, TrainingDivergedError, _forward_cache, forward
 from wann.training import (WannConfig, WannModel, build_wann_model, fit_wann,
                            predict, pretrain_weighter, training_weights,
                            wann_step)
 
-from nets import hand_net
+from nets import adam_states, hand_net
 
 
 def small_train(k=60, d=3, n_target=15, seed=0):
@@ -145,8 +144,8 @@ class TestWannStep:
         task_before = params_of(model.task).copy()
         weighter_before = params_of(model.weighter).copy()
         adversary_before = params_of(model.adversary).copy()
-        wann_step(model, train.X[:16], train.y[:16], train.is_target[:16],
-                  16)
+        wann_step(model, adam_states(model), train.X[:16], train.y[:16],
+                  train.is_target[:16], 16)
         np.testing.assert_array_equal(params_of(model.task), task_before)
         np.testing.assert_array_equal(params_of(model.weighter),
                                       weighter_before)
@@ -159,10 +158,9 @@ class TestWannStep:
         config = WannConfig(pretrain_epochs=5, batch_size=16, seed=8)
         pretrain_weighter(model, train, config)
         model.adversary = model.task.copy()
-        model.opt_adversary = AdamState.for_net(model.adversary)
         weighter_before = params_of(model.weighter).copy()
-        wann_step(model, train.X[:16], train.y[:16], train.is_target[:16],
-                  16)
+        wann_step(model, adam_states(model), train.X[:16], train.y[:16],
+                  train.is_target[:16], 16)
         np.testing.assert_array_equal(params_of(model.weighter),
                                       weighter_before)
 
@@ -176,7 +174,7 @@ class TestWannStep:
         w = model.instance_weights(X)
         sq_h = (forward(model.task, X) - y) ** 2
         sq_hp = (forward(model.adversary, X) - y) ** 2
-        diag = wann_step(model, X, y, flags, len(X))
+        diag = wann_step(model, adam_states(model), X, y, flags, len(X))
         np.testing.assert_allclose(diag.l_q_h, np.dot(w, sq_h), rtol=1e-12)
         np.testing.assert_allclose(diag.l_q_hp, np.dot(w, sq_hp), rtol=1e-12)
         np.testing.assert_allclose(diag.l_tgt_hp, sq_hp[flags].mean(),
@@ -189,8 +187,8 @@ class TestWannStep:
         train = small_train(seed=10)
         model = build_wann_model(3, ArchSpec((8,)), WannConfig(seed=10))
         src = ~train.is_target
-        diag = wann_step(model, train.X[src][:8], train.y[src][:8],
-                         np.zeros(8, dtype=bool), 8)
+        diag = wann_step(model, adam_states(model), train.X[src][:8],
+                         train.y[src][:8], np.zeros(8, dtype=bool), 8)
         assert diag.l_tgt_hp == 0.0
 
     def test_all_target_batch_steps(self):
@@ -202,7 +200,8 @@ class TestWannStep:
         sq_h = (forward(model.task, X) - y) ** 2
         sq_hp = (forward(model.adversary, X) - y) ** 2
         adversary_before = params_of(model.adversary).copy()
-        diag = wann_step(model, X, y, np.ones(4, dtype=bool), 4)
+        diag = wann_step(model, adam_states(model), X, y,
+                         np.ones(4, dtype=bool), 4)
         np.testing.assert_allclose(
             [diag.l_q_h, diag.l_tgt_hp, diag.l_q_hp],
             [np.dot(w, sq_h), sq_hp.mean(), np.dot(w, sq_hp)], rtol=1e-12)
@@ -215,7 +214,7 @@ class TestWannStep:
         y = np.array([0.0, np.inf, 1.0])
         flags = np.array([False, False, True])
         with pytest.raises(TrainingDivergedError) as err:
-            wann_step(model, X, y, flags, 3, epoch=17)
+            wann_step(model, adam_states(model), X, y, flags, 3, epoch=17)
         assert err.value.epoch == 17
 
     # c = 0.8 keeps all of q's linear outputs positive (0.65, 1.05,
@@ -244,11 +243,8 @@ class TestWannStep:
             task=linear_net(a, b, clip=clip),
             adversary=linear_net(ap, bp, clip=clip),
             weighter=linear_net(u, c, clip=clip),
-            opt_task=AdamState.for_net(linear_net(a, b), lr=lr),
-            opt_adversary=AdamState.for_net(linear_net(ap, bp), lr=lr),
-            opt_weighter=AdamState.for_net(linear_net(u, c), lr=lr),
         )
-        diag = wann_step(model, X, y, flags, len(X))
+        diag = wann_step(model, adam_states(model, lr), X, y, flags, len(X))
 
         pre = X @ u + c
         active = (pre > 0.0).astype(float)
@@ -321,7 +317,8 @@ class TestWannStep:
             return float(model.weight_scale * scale
                          * np.dot(np.maximum(out, 0.0), sq_h - sq_hp))
 
-        wann_step(model, X, y, flags, total_rows=len(train))
+        wann_step(model, adam_states(model), X, y, flags,
+                  total_rows=len(train))
         fd = np.empty_like(start)
         for k in range(len(start)):
             bumped = start.copy()
@@ -421,6 +418,43 @@ class TestFitWann:
               pytest.raises(TrainingDivergedError) as err):
             fit_wann(model, train, config, validation=val)
         assert err.value.epoch == 0
+
+    def test_steps_at_its_own_lr(self):
+        # the model carries no step size: built at 0.001 and fit at 0.5,
+        # it is the model built and fit at 0.5
+        train = small_train(k=80, d=3, n_target=20, seed=25)
+        config = WannConfig(epochs=2, batch_size=16, pretrain_epochs=2,
+                            seed=25)
+
+        def run(build_lr, fit_lr):
+            model = build_wann_model(3, ArchSpec((8,)),
+                                     replace(config, lr=build_lr))
+            pretrain_weighter(model, train, replace(config, lr=fit_lr))
+            fit_wann(model, train, replace(config, lr=fit_lr))
+            return np.concatenate([model.task.params, model.adversary.params,
+                                   model.weighter.params])
+
+        moved = run(0.001, 0.5)
+        assert moved.tobytes() == run(0.5, 0.5).tobytes()
+        assert not np.array_equal(moved, run(0.001, 0.001))
+
+    # a weight scale of 1 would make every weight k times its intended 1/k
+    @pytest.mark.parametrize("pretrain_rows", [None, 60],
+                             ids=["never", "other-size"])
+    def test_unpretrained_model_fails_before_any_step(self, pretrain_rows):
+        train = small_train(k=80, d=3, n_target=20, seed=26)
+        config = WannConfig(epochs=2, batch_size=16, pretrain_epochs=2,
+                            seed=26)
+        model = build_wann_model(3, ArchSpec((8,)), config)
+        if pretrain_rows:
+            other = small_train(k=pretrain_rows, d=3, n_target=15, seed=27)
+            pretrain_weighter(model, other, config)
+        nets = (model.task, model.adversary, model.weighter)
+        before = [net.params.copy() for net in nets]
+        with pytest.raises(ValueError, match="run pretrain_weighter"):
+            fit_wann(model, train, config)
+        for net, params in zip(nets, before):
+            assert net.params.tobytes() == params.tobytes()
 
     def test_requires_both_domains(self):
         model, train, config = self.make_ready(seed=17)
