@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledSample, TrainingSet, checked
-from .nn import ArchSpec, FitConfig, FitTrace, Mlp, fit_network, forward
+from .nn import (ArchSpec, FitConfig, FitTrace, Mlp, _require_integer,
+                 fit_network, forward)
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny  # kernel mass below it is none to KLIEP
@@ -527,6 +528,7 @@ class KliepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integer("n_centers", self.n_centers)
         if self.n_centers < 1:
             raise ValueError("n_centers must be >= 1")
         _check_solver_settings(self)
@@ -622,6 +624,7 @@ class TradaboostConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        _require_integer("n_iterations", self.n_iterations)
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
 

@@ -25,8 +25,8 @@ from .baselines import MIN_BANDWIDTH, KliepConfig, KmmConfig, TradaboostConfig
 from .data import (CsvSchema, LabeledSample, MixtureShiftSpec,
                    csv_feature_cols, gen_uniform_shift_1d, load_csv)
 from .discrepancy import ASCENT_EPOCHS, estimate_y_discrepancy
-from .harness import (RUNNERS, ExperimentConfig, MethodSpec, method_lanes,
-                      run_experiment, run_method, run_methods)
+from .harness import (RUNNERS, ExperimentConfig, MethodSpec, run_experiment,
+                      run_method, run_methods)
 from .nn import ArchSpec, FitConfig
 from .results import format_real, parse_kv_lines, write_run_file
 from .svgplot import Line, Points, write_chart
@@ -96,6 +96,14 @@ def _count_list(raw: str) -> list[int]:
     return [_count(v) for v in raw.split(",")]
 
 
+def _dims(raw: str) -> list[int]:
+    dims = _count_list(raw)
+    for dim in dims:
+        if dims.count(dim) > 1:
+            raise argparse.ArgumentTypeError(f"dimension {dim} is repeated")
+    return dims
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value file of flag defaults")
     # argparse converts a string default with ``type`` only when the flag
@@ -133,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "synth-bench",
         help="mixture-shift benchmark: wann vs uniform vs target-only")
-    bench.add_argument("--dims", type=_count_list, default=[32, 64, 128, 256],
+    bench.add_argument("--dims", type=_dims, default=[32, 64, 128, 256],
                        help="input dimensions, comma separated")
     bench.add_argument("--repeats", type=_count, default=10)
     bench.add_argument("--m", type=_count, default=MixtureShiftSpec.m,
@@ -345,8 +353,7 @@ def cmd_demo_negative_transfer(args) -> int:
              MethodSpec("wann", dict(params,
                                      pretrain_epochs=args.pretrain_epochs))]
     results = {}
-    for spec, result in zip(specs, run_methods(specs, train, grid, args.seed,
-                                               method_lanes())):
+    for spec, result in zip(specs, run_methods(specs, train, grid, args.seed)):
         if result.error is not None:
             raise RuntimeError(f"{spec.name} failed: {result.error}")
         results[spec.name] = result

@@ -30,9 +30,6 @@ from .nn import (AdamState, ArchSpec, FitConfig, Mlp, TrainingDivergedError,
 # default ascent budget per side, shorter than the training protocol's
 ASCENT_EPOCHS = 100
 
-# the engine functions an ascent calls, as imported (see _ascent_workers)
-_ENGINE = (forward, weighted_mse_grad, adam_step)
-
 
 @dataclass
 class DiscrepancyEstimate:
@@ -134,11 +131,6 @@ def _ascend(net: Mlp, sign: float, pooled: _Pooled, config: FitConfig,
     return best
 
 
-def _ascent_workers() -> int:
-    """Threads the two one-sided ascents run on (``lanes.lane_count``)."""
-    return lanes.lane_count((forward, weighted_mse_grad, adam_step), _ENGINE)
-
-
 def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
                            source_w: np.ndarray, target: LabeledSample, *,
                            arch: ArchSpec | None = None,
@@ -158,11 +150,11 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     value is a ``ValueError`` that names the array, raised before any
     network is built.
 
-    The two sides share no state, so when numpy's BLAS runs one thread
-    and a second core is free, the -d side runs on a worker thread while
-    the +d side runs on the calling thread; the result is the same to
-    the bit either way. If both sides fail, the +d side's error is
-    raised.
+    The two sides share no state, so when ``lanes.lane_count`` gives
+    two (numpy's BLAS runs one thread and a second core is free), the -d
+    side runs on a worker thread while the +d side runs on the calling
+    thread; the result is the same to the bit either way. If both sides
+    fail, the +d side's error is raised.
     """
     source_x = checked("source_x", source_x)
     source_y = checked("source_y", source_y, ndim=1)
@@ -200,7 +192,7 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
     run_neg = functools.partial(_ascend, net_neg, -1.0, pooled, config,
                                 rng=np.random.default_rng([seed, 2]),
                                 stop=stop)
-    if _ascent_workers() < 2:
+    if lanes.lane_count() < 2:
         pos, neg = run_pos(), run_neg()
     else:
         # leaving the block waits for the worker, also when +d raised
@@ -215,3 +207,6 @@ def estimate_y_discrepancy(source_x: np.ndarray, source_y: np.ndarray,
                 raise
             neg = neg_future.result()
     return DiscrepancyEstimate(max(pos, neg), pos, neg)
+
+
+lanes.engine(globals())  # the functions an ascent calls

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import multiprocessing
 import signal
-import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -91,6 +90,8 @@ class ExperimentConfig:
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.methods:
+            raise ValueError("methods must name at least one method")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ValueError("method names must be unique")
@@ -239,38 +240,12 @@ def run_method(spec: MethodSpec, train: TrainingSet,
     return result
 
 
-def _engine() -> tuple:
-    """The functions a method's run looks up in this module."""
-    return (run_method, forward, predict, fit_network, fit_wann,
-            pretrain_weighter, build_wann_model, *RUNNERS.values())
-
-
-# the functions a method's run calls, as imported (see method_lanes)
-_ENGINE = _engine()
-
-
-def method_lanes(n_workers: int = 1) -> int:
-    """Lanes ``run_methods`` may run a repeat's methods on: 2 when
-    ``lanes.lane_count`` allows two, ``n_workers`` is 1, the ``fork``
-    start method exists and this process runs one thread and may have
-    children; 1 otherwise.
-
-    Worker processes for repeats already fill the cores, and a child
-    forked beside another thread may inherit a lock that thread holds.
-    """
-    if (n_workers > 1 or threading.active_count() > 1
-            or multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return lanes.lane_count(_engine(), _ENGINE)
-
-
 def run_methods(specs: Sequence[MethodSpec], train: TrainingSet,
-                validation: LabeledSample | None, seed: int,
-                n_lanes: int) -> list[RunResult]:
+                validation: LabeledSample | None, seed: int
+                ) -> list[RunResult]:
     """``run_method`` on each spec, the results in the order of ``specs``.
 
-    With two lanes (see ``method_lanes``) the caller runs the first spec
+    With two lanes (see ``lanes.child_lanes``) the caller runs the first spec
     while one forked child runs the rest and sends their results back
     through a pipe in one message; every result is the same to the bit
     either way. The child is always joined, and terminated first if the
@@ -281,7 +256,7 @@ def run_methods(specs: Sequence[MethodSpec], train: TrainingSet,
     """
     for spec in specs:
         _runner(spec.name)
-    if n_lanes < 2 or len(specs) < 2:
+    if len(specs) < 2 or lanes.child_lanes() < 2:
         return [run_method(spec, train, validation, seed) for spec in specs]
     rest = specs[1:]
 
@@ -327,9 +302,9 @@ def run_methods(specs: Sequence[MethodSpec], train: TrainingSet,
 
 
 def _run_repeat(scenario: MixtureShiftSpec, methods: tuple[MethodSpec, ...],
-                seed: int, *, n_lanes: int) -> list[RunResult]:
+                seed: int) -> list[RunResult]:
     data = gen_mixture_shift(replace(scenario, seed=seed))
-    return run_methods(methods, data.train, data.validation, seed, n_lanes)
+    return run_methods(methods, data.train, data.validation, seed)
 
 
 @dataclass
@@ -459,8 +434,7 @@ def run_experiment(config: ExperimentConfig
     method. A method failure is recorded in its result, not raised.
     """
     seeds = [config.base_seed + r for r in range(config.n_repeats)]
-    repeat = partial(_run_repeat, config.scenario, config.methods,
-                     n_lanes=method_lanes(config.n_workers))
+    repeat = partial(_run_repeat, config.scenario, config.methods)
     if config.n_workers > 1:
         with ProcessPoolExecutor(max_workers=config.n_workers) as pool:
             batches = list(pool.map(repeat, seeds))
@@ -474,3 +448,8 @@ def run_experiment(config: ExperimentConfig
     else:
         table = build_comparison_table(results)
     return results, table
+
+
+# the functions a method's run may call
+lanes.engine(globals())
+lanes.engine(RUNNERS)

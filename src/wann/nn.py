@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -43,21 +43,33 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer, not a bool."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArchSpec:
     """Architecture class: hidden widths and clip constant.
 
-    Made, it rejects a width below 1 and a clip that is not finite and
-    positive, before any network is built; every network is a member of
-    an ``ArchSpec``, so no other place checks them.
+    Made, it rejects a width that is not an integer of at least 1 and a
+    clip that is not finite and positive, before any network is built;
+    every network is a member of an ``ArchSpec``, so no other place
+    checks them.
     """
 
     hidden: tuple[int, ...] = (100, 100)
     clip: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        try:
+            object.__setattr__(self, "hidden", tuple(self.hidden))
+        except TypeError:
+            raise ValueError(f"hidden must be a sequence of widths, got "
+                             f"{self.hidden!r}") from None
         for k, width in enumerate(self.hidden):
+            _require_integer(f"hidden[{k}]", width)
             if width < 1:
                 raise ValueError(
                     f"layer {k} has {width} units, needs at least 1")
@@ -66,6 +78,7 @@ class ArchSpec:
     def build(self, n_inputs: int, *, rng: np.random.Generator) -> "Mlp":
         """A member of the class on ``n_inputs`` features: weights
         Glorot-uniform from ``rng``, biases zero, and then clipped."""
+        _require_integer("n_inputs", n_inputs)
         net = Mlp(self, n_inputs, np.zeros(_size([n_inputs, *self.hidden, 1])))
         for layer in net.layers:
             limit = np.sqrt(6.0 / sum(layer.weights.shape))
@@ -124,6 +137,7 @@ class Mlp:
     _activations: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        _require_integer("n_inputs", self.n_inputs)
         if self.n_inputs < 1:
             raise ValueError(f"n_inputs must be >= 1, got {self.n_inputs}")
         dims = [self.n_inputs, *self.arch.hidden, 1]
@@ -259,6 +273,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integer("epochs", self.epochs)
+        _require_integer("batch_size", self.batch_size)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

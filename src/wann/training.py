@@ -24,8 +24,8 @@ import numpy as np
 from .data import LabeledSample, TrainingSet
 from .discrepancy import gap_weights
 from .nn import (AdamState, ArchSpec, FitConfig, FitTrace, Mlp,
-                 TrainingDivergedError, _backward, _forward_cache, adam_step,
-                 fit_regression, forward)
+                 TrainingDivergedError, _backward, _forward_cache,
+                 _require_integer, adam_step, fit_regression, forward)
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class WannConfig(FitConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        _require_integer("pretrain_epochs", self.pretrain_epochs)
         if self.pretrain_epochs < 0:
             raise ValueError(
                 f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")

@@ -84,6 +84,20 @@ class TestSynthBench:
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
+    def test_repeated_dim_usage_error(self, tmp_path, capsys):
+        # a repeated dimension would train it twice and overwrite dim2/;
+        # hidden widths may repeat
+        from wann.cli import build_parser, main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth-bench", "--dims", "2,3,2", "--hidden", "4,4",
+                  "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "--dims: dimension 2 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        args = build_parser().parse_args(["synth-bench", "--out", "x",
+                                          "--hidden", "4,4"])
+        assert args.hidden == [4, 4]
+
     def test_unknown_flag_rejected(self, tmp_path):
         proc = run_cli("synth-bench", "--frobnicate", "1",
                        "--out", str(tmp_path))

@@ -294,9 +294,9 @@ def _diverge_in(monkeypatch, epochs: dict[float, int]) -> None:
 
 class TestConcurrentSides:
     def test_worker_count_leaves_every_bit(self, monkeypatch):
-        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: 1)
+        monkeypatch.setattr(lanes, "lane_count", lambda: 1)
         serial = _estimate()
-        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: 2)
+        monkeypatch.setattr(lanes, "lane_count", lambda: 2)
         assert _estimate() == serial
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -309,7 +309,7 @@ class TestConcurrentSides:
             seen[sign] = (threading.get_ident(), np.geterr()["over"])
             return ascend(net, sign, *args, **kwargs)
 
-        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: workers)
+        monkeypatch.setattr(lanes, "lane_count", lambda: workers)
         monkeypatch.setattr(discrepancy, "_ascend", recording_ascend)
         with np.errstate(over="raise"):
             _estimate(epochs=1)
@@ -323,20 +323,19 @@ class TestConcurrentSides:
     def test_two_workers_only_on_one_blas_thread(self, blas, monkeypatch):
         monkeypatch.setattr(lanes, "blas_threads", lambda: blas)
         cores = len(os.sched_getaffinity(0))
-        assert discrepancy._ascent_workers() == (min(2, cores) if blas == 1
-                                                 else 1)
+        assert lanes.lane_count() == (min(2, cores) if blas == 1 else 1)
 
     def test_replaced_engine_function_runs_serially(self, monkeypatch):
         monkeypatch.setattr(lanes, "blas_threads", lambda: 1)
         forward = discrepancy.forward
         monkeypatch.setattr(discrepancy, "forward",
                             lambda net, X: forward(net, X))
-        assert discrepancy._ascent_workers() == 1
+        assert lanes.lane_count() == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_minus_side_divergence_names_its_epoch(self, workers,
                                                    monkeypatch):
-        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: workers)
+        monkeypatch.setattr(lanes, "lane_count", lambda: workers)
         _diverge_in(monkeypatch, {-1.0: 2})
         with pytest.raises(TrainingDivergedError) as err:
             _estimate()
@@ -345,7 +344,7 @@ class TestConcurrentSides:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_plus_side_error_wins_when_both_fail(self, workers, monkeypatch):
         # the -d side fails first, in epoch 0; the +d side in epoch 3
-        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: workers)
+        monkeypatch.setattr(lanes, "lane_count", lambda: workers)
         _diverge_in(monkeypatch, {1.0: 3, -1.0: 0})
         with pytest.raises(TrainingDivergedError) as err:
             _estimate()
@@ -353,7 +352,7 @@ class TestConcurrentSides:
 
     def test_plus_side_failure_stops_the_worker_early(self, monkeypatch):
         epochs = 200
-        monkeypatch.setattr(discrepancy, "_ascent_workers", lambda: 2)
+        monkeypatch.setattr(lanes, "lane_count", lambda: 2)
         _diverge_in(monkeypatch, {1.0: 0})
         ascend, adam_step = discrepancy._ascend, discrepancy.adam_step
         minus, steps = [], collections.Counter()
@@ -381,9 +380,9 @@ class TestConcurrentSides:
             "import os\n"
             "from wann import discrepancy, lanes\n"
             "from test_discrepancy import _estimate\n"
-            "workers = discrepancy._ascent_workers()\n"
+            "workers = lanes.lane_count()\n"
             "concurrent = _estimate()\n"
-            "discrepancy._ascent_workers = lambda: 1\n"
+            "lanes.lane_count = lambda: 1\n"
             "serial = _estimate()\n"
             "print(lanes.blas_threads(), workers,\n"
             "      len(os.sched_getaffinity(0)))\n"

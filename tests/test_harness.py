@@ -20,7 +20,7 @@ from wann.data import (LabeledSample, MixtureShiftSpec, TrainingSet,
                        gen_mixture_shift)
 from wann.harness import (PARAM_KEYS, RUNNERS, ExperimentConfig, MethodSpec,
                           build_comparison_table, compute_metrics,
-                          emit_plot_data, export_results, method_lanes,
+                          emit_plot_data, export_results,
                           run_experiment, run_method, run_methods)
 from wann.nn import ArchSpec, FitConfig, forward
 from wann.training import predict
@@ -193,6 +193,12 @@ class TestRunExperiment:
                            match=f"n_workers must be >= 1, got {workers}"):
             ExperimentConfig(scenario=TINY, methods=[], n_workers=workers)
 
+    def test_no_methods_rejected(self):
+        # refused when made, so no run can end in "no results to export"
+        with pytest.raises(ValueError, match="methods must name at least "
+                                             "one method"):
+            ExperimentConfig(scenario=TINY, methods=[])
+
     def test_methods_kept_as_a_tuple(self):
         methods = [MethodSpec("uniform", dict(FAST))]
         config = ExperimentConfig(scenario=TINY, methods=methods)
@@ -319,7 +325,23 @@ class TestMethodSpec:
                                 "kernel_bandwidth must be finite"),
                                ({"n_centers": 0}, "n_centers must be >= 1"),
                                ({"n_iterations": 0},
-                                "n_iterations must be >= 1")]],
+                                "n_iterations must be >= 1"),
+                               # counts that are not integers
+                               ({"epochs": 2.5},
+                                "epochs must be an integer, got 2.5"),
+                               ({"batch_size": 8.5},
+                                "batch_size must be an integer, got 8.5"),
+                               ({"hidden": 8}, "hidden must be a sequence"),
+                               ({"hidden": (8.5,)},
+                                "hidden[0] must be an integer, got 8.5"),
+                               ({"hidden": (True,)},
+                                "hidden[0] must be an integer, got True"),
+                               ({"pretrain_epochs": 1.5},
+                                "pretrain_epochs must be an integer"),
+                               ({"n_centers": 3.5},
+                                "n_centers must be an integer, got 3.5"),
+                               ({"n_iterations": 2.5},
+                                "n_iterations must be an integer")]],
     ])
     def test_bad_params_recorded_before_training(self, no_training, method,
                                                  bad, message):
@@ -405,8 +427,7 @@ class TestMethodLanes:
     def test_two_lanes_give_the_bits_of_one(self, tmp_path, monkeypatch):
         runs = {}
         for n_lanes in (1, 2):
-            monkeypatch.setattr(harness, "method_lanes",
-                                lambda n_workers=1, n=n_lanes: n)
+            monkeypatch.setattr(lanes, "child_lanes", lambda n=n_lanes: n)
             out = tmp_path / f"lanes{n_lanes}"
             results, _ = run_experiment(ExperimentConfig(
                 scenario=TINY, methods=LANE_SPECS, n_repeats=2, base_seed=3,
@@ -426,24 +447,25 @@ class TestMethodLanes:
                                tmp_path / "lanes2" / rel, shallow=False), rel
         assert multiprocessing.active_children() == []
 
-    def test_results_keep_the_order_of_the_specs(self):
+    def test_results_keep_the_order_of_the_specs(self, monkeypatch):
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 2)
         data = gen_mixture_shift(replace(TINY, seed=4))
         results = run_methods(LANE_SPECS[::-1], data.train, data.validation,
-                              4, n_lanes=2)
+                              4)
         assert [r.method for r in results] == [
             spec.name for spec in LANE_SPECS[::-1]]
 
     def test_two_lanes_on_one_blas_thread(self, one_blas_thread):
-        assert method_lanes() == one_blas_thread
+        assert lanes.child_lanes() == one_blas_thread
 
     @pytest.mark.parametrize("blas", [2, None])
     def test_one_lane_unless_blas_runs_one_thread(self, blas, monkeypatch):
         monkeypatch.setattr(lanes, "blas_threads", lambda: blas)
-        assert method_lanes() == 1
+        assert lanes.child_lanes() == 1
 
     def test_one_lane_on_one_core(self, one_blas_thread, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert method_lanes() == 1
+        assert lanes.child_lanes() == 1
 
     @pytest.mark.parametrize("replaced", ["forward", "runner"])
     def test_one_lane_with_a_replaced_engine_function(
@@ -453,21 +475,18 @@ class TestMethodLanes:
                                 lambda net, X: forward(net, X))
         else:
             monkeypatch.setitem(RUNNERS, "uniform", RUNNERS["target_only"])
-        assert method_lanes() == 1
+        assert lanes.child_lanes() == 1
 
     def test_one_lane_beside_another_thread(self, one_blas_thread):
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            assert method_lanes() == 1
+            assert lanes.child_lanes() == 1
         finally:
             release.set()
             other.join()
-        assert method_lanes() == one_blas_thread
-
-    def test_one_lane_beside_worker_processes(self, one_blas_thread):
-        assert method_lanes(n_workers=2) == 1
+        assert lanes.child_lanes() == one_blas_thread
 
     def test_a_dead_child_gives_error_results(self, monkeypatch):
         # the child runs every spec but the first; its first runner ends
@@ -480,12 +499,12 @@ class TestMethodLanes:
             return target_only(*args)
 
         monkeypatch.setitem(RUNNERS, "target_only", fatal_target_only)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 2)
         data = gen_mixture_shift(replace(TINY, seed=5))
         specs = [MethodSpec("uniform", dict(FAST)),
                  MethodSpec("target_only", dict(FAST)),
                  MethodSpec("wann", dict(FAST))]
-        results = run_methods(specs, data.train, data.validation, 5,
-                              n_lanes=2)
+        results = run_methods(specs, data.train, data.validation, 5)
         assert [r.method for r in results] == ["uniform", "target_only",
                                                "wann"]
         for result in results[1:]:
@@ -512,12 +531,13 @@ class TestMethodLanes:
 
         monkeypatch.setitem(RUNNERS, "uniform", interrupted)
         monkeypatch.setitem(RUNNERS, "target_only", endless)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 2)
         data = gen_mixture_shift(replace(TINY, seed=5))
         specs = [MethodSpec("uniform", dict(FAST)),
                  MethodSpec("target_only", dict(FAST))]
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            run_methods(specs, data.train, data.validation, 5, n_lanes=2)
+            run_methods(specs, data.train, data.validation, 5)
         assert time.monotonic() - start < 60
         assert multiprocessing.active_children() == []
 
@@ -530,11 +550,11 @@ class TestMethodLanes:
             return target_only(*args)
 
         monkeypatch.setitem(RUNNERS, "target_only", interrupted_target_only)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 2)
         data = gen_mixture_shift(replace(TINY, seed=5))
         specs = [MethodSpec("uniform", dict(FAST)),
                  MethodSpec("target_only", dict(FAST))]
-        results = run_methods(specs, data.train, data.validation, 5,
-                              n_lanes=2)
+        results = run_methods(specs, data.train, data.validation, 5)
         assert [r.error for r in results] == [None, None]
 
     def test_no_semaphores_needed(self, tmp_path, monkeypatch):
@@ -548,12 +568,12 @@ class TestMethodLanes:
             return target_only(*args)
 
         data = gen_mixture_shift(replace(TINY, seed=6))
-        serial = run_methods(LANE_SPECS, data.train, data.validation, 6,
-                             n_lanes=1)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 1)
+        serial = run_methods(LANE_SPECS, data.train, data.validation, 6)
         monkeypatch.setitem(sys.modules, "multiprocessing.synchronize", None)
         monkeypatch.setitem(RUNNERS, "target_only", named_target_only)
-        results = run_methods(LANE_SPECS, data.train, data.validation, 6,
-                              n_lanes=2)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 2)
+        results = run_methods(LANE_SPECS, data.train, data.validation, 6)
         assert all(same_results(a, b) for a, b in zip(serial, results))
         assert int(ran.read_text()) != caller
         assert multiprocessing.active_children() == []
@@ -563,11 +583,11 @@ class TestMethodLanes:
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         data = gen_mixture_shift(replace(TINY, seed=6))
-        serial = run_methods(LANE_SPECS, data.train, data.validation, 6,
-                             n_lanes=1)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 1)
+        serial = run_methods(LANE_SPECS, data.train, data.validation, 6)
         monkeypatch.setattr(os, "fork", no_fork)
-        results = run_methods(LANE_SPECS, data.train, data.validation, 6,
-                              n_lanes=2)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 2)
+        results = run_methods(LANE_SPECS, data.train, data.validation, 6)
         assert all(same_results(a, b) for a, b in zip(serial, results))
 
     def test_unknown_method_raises_before_any_spec_runs(self, monkeypatch):
@@ -575,10 +595,11 @@ class TestMethodLanes:
             raise AssertionError("a spec ran")
 
         monkeypatch.setitem(RUNNERS, "uniform", refuse)
+        monkeypatch.setattr(lanes, "child_lanes", lambda: 2)
         data = gen_mixture_shift(replace(TINY, seed=6))
         with pytest.raises(ValueError, match="unknown method 'nope'"):
             run_methods([MethodSpec("uniform"), MethodSpec("nope")],
-                        data.train, data.validation, 6, n_lanes=2)
+                        data.train, data.validation, 6)
 
     def test_one_blas_thread_takes_the_fork_lane(self):
         # a fresh process, so the BLAS reads its thread count from the
@@ -602,13 +623,13 @@ class TestMethodLanes:
             "        os.write(2, f'ran {name} {os.getpid()}\\n'.encode())\n"
             "        return runner(*args)\n"
             "    return run\n"
-            "n_lanes = harness.method_lanes()\n"
+            "n_lanes = lanes.child_lanes()\n"
             "by_rule = bits()\n"
             "for name, runner in list(harness.RUNNERS.items()):\n"
             "    harness.RUNNERS[name] = naming(name, runner)\n"
-            "harness.method_lanes = lambda n_workers=1: n_lanes\n"
+            "lanes.child_lanes = lambda: n_lanes\n"
             "named = bits()\n"
-            "harness.method_lanes = lambda n_workers=1: 1\n"
+            "lanes.child_lanes = lambda: 1\n"
             "serial = bits()\n"
             "print(lanes.blas_threads(), n_lanes, len(os.sched_getaffinity(0)),\n"
             "      os.getpid(), by_rule == named == serial)\n")

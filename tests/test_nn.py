@@ -8,7 +8,7 @@ import pytest
 from wann.baselines import KliepConfig, KmmConfig, TradaboostConfig
 from wann.data import LabeledSample, MixtureShiftSpec
 from wann.discrepancy import estimate_y_discrepancy
-from wann.harness import ExperimentConfig, MethodConfigs
+from wann.harness import ExperimentConfig, MethodConfigs, MethodSpec
 from wann.nn import (AdamState, ArchSpec, FitConfig, Mlp,
                      TrainingDivergedError, _backward, _forward_cache,
                      adam_step, clip_weights, fit_network, fit_regression,
@@ -355,16 +355,35 @@ class TestArchSpecBuild:
             Mlp(arch, 2, np.zeros((13, 1)))
         assert Mlp(arch, 2, np.zeros(13)).params.shape == (13,)
 
-    @pytest.mark.parametrize("make", [
-        lambda: Mlp(ArchSpec((3,)), -1, np.zeros(4)),
-        lambda: Mlp(ArchSpec((3,)), 0, np.zeros(4)),
-        lambda: ArchSpec((3,)).build(0, rng=np.random.default_rng(0)),
-        lambda: ArchSpec(()).build(-1, rng=np.random.default_rng(0)),
-    ], ids=["minus-one", "zero", "build-zero", "build-minus-one"])
-    def test_no_inputs_rejected(self, make):
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Mlp(ArchSpec((3,)), -1, np.zeros(4)),
+         "n_inputs must be >= 1"),
+        (lambda: Mlp(ArchSpec((3,)), 0, np.zeros(4)),
+         "n_inputs must be >= 1"),
+        (lambda: ArchSpec((3,)).build(0, rng=np.random.default_rng(0)),
+         "n_inputs must be >= 1"),
+        (lambda: ArchSpec(()).build(-1, rng=np.random.default_rng(0)),
+         "n_inputs must be >= 1"),
+        (lambda: Mlp(ArchSpec((3,)), 2.0, np.zeros(13)),
+         "n_inputs must be an integer, got 2.0"),
+        (lambda: ArchSpec((3,)).build(2.5, rng=np.random.default_rng(0)),
+         "n_inputs must be an integer, got 2.5"),
+        (lambda: ArchSpec((3,)).build("3", rng=np.random.default_rng(0)),
+         "n_inputs must be an integer, got '3'"),
+        (lambda: ArchSpec((3,)).build(True, rng=np.random.default_rng(0)),
+         "n_inputs must be an integer, got True"),
+    ], ids=["minus-one", "zero", "build-zero", "build-minus-one", "float",
+            "build-float", "build-string", "build-bool"])
+    def test_no_inputs_rejected(self, make, message):
         # a net on no features would map every row to its bias
-        with pytest.raises(ValueError, match="n_inputs must be >= 1"):
+        with pytest.raises(ValueError, match=message):
             make()
+
+    def test_numpy_integers_are_counts(self):
+        config = FitConfig(epochs=np.int64(2), batch_size=np.int32(4))
+        net = ArchSpec((np.int64(3),)).build(np.int64(2),
+                                             rng=np.random.default_rng(0))
+        assert (config.epochs, net.n_inputs, net.params.shape) == (2, 2, (13,))
 
     def test_layers_cannot_be_rebound(self):
         net = ArchSpec((4, 3)).build(2, rng=np.random.default_rng(23))
@@ -425,6 +444,10 @@ class TestCarriersRejectBadValues:
         ("lr", 0.0, "lr must be finite and positive"),
         ("lr", float("nan"), "lr must be finite and positive, got nan"),
         ("lr", float("inf"), "lr must be finite and positive, got inf"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("batch_size", 8.5, "batch_size must be an integer, got 8.5"),
+        ("batch_size", "8", "batch_size must be an integer, got '8'"),
     ])
     def test_fit_config(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -438,6 +461,9 @@ class TestCarriersRejectBadValues:
         ((4,), float("nan"), "clip must be finite and positive, got nan"),
         ((4,), float("inf"), "clip must be finite and positive, got inf"),
         ((4,), None, "clip must be finite and positive, got None"),
+        (8, 1.0, "hidden must be a sequence of widths, got 8"),
+        ((8.5,), 1.0, r"hidden\[0\] must be an integer, got 8.5"),
+        ((4, True), 1.0, r"hidden\[1\] must be an integer, got True"),
     ])
     def test_arch_spec_build(self, hidden, clip, message):
         # the class checks itself before any network is built
@@ -455,7 +481,8 @@ class TestCarriersRejectBadValues:
         (TradaboostConfig, {}, "n_iterations", 0),
         (MixtureShiftSpec, {"dim": 2}, "target_fraction", 0.0),
         (ExperimentConfig, {"scenario": MixtureShiftSpec(dim=2),
-                            "methods": []}, "n_workers", 0),
+                            "methods": [MethodSpec("uniform")]},
+         "n_workers", 0),
         (MethodConfigs.from_params, {"params": {}, "seed": 0}, "fit", None),
     ])
     def test_a_field_cannot_be_assigned_past_the_check(self, carrier, kwargs,

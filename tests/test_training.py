@@ -42,6 +42,8 @@ def adam_first_step(theta, grad, lr=0.001, eps=1e-8):
     ("lr", -0.5, "lr must be finite and positive, got -0.5"),
     ("lr", float("nan"), "lr must be finite and positive, got nan"),
     ("pretrain_epochs", -2, "pretrain_epochs must be >= 0, got -2"),
+    ("pretrain_epochs", 1.5, "pretrain_epochs must be an integer, got 1.5"),
+    ("epochs", 2.5, "epochs must be an integer, got 2.5"),
 ])
 def test_wann_config_rejects_bad_values(field, value, message):
     with pytest.raises(ValueError, match=message):
